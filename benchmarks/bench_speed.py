@@ -7,8 +7,9 @@ Three sections, emitted as a stable-schema JSON report
 ``patterns``
     One representative point per inter-iteration dependence pattern
     (uc / or / om / ua / db), timed fully cold (fresh memo, compile
-    included, no disk cache) with the fast path on and off, plus a
-    warm pass served from the persistent result cache.  Measured at
+    included, no disk cache) on the ``auto`` backend rung ("fast")
+    and on ``interp`` ("slow"), plus a warm pass served from the
+    persistent result cache.  Measured at
     large scale so steady-state simulation, not the fixed compile +
     fusion-codegen cost (~10ms), dominates the wall time.
 
@@ -197,8 +198,7 @@ SERVICE_RATE_FLOOR = 0.5
 DISTRIBUTED_SCALING_FLOOR = 1.3
 
 
-def _cold(kernel, config, mode, scale, fast=None, backend=None,
-          repeats=3):
+def _cold(kernel, config, mode, scale, backend=None, repeats=3):
     """Best-of-*repeats* wall time of a fully cold point (compile +
     simulate, no caches, no retained turbo memos)."""
     best = None
@@ -206,7 +206,7 @@ def _cold(kernel, config, mode, scale, fast=None, backend=None,
         clear_cache(keep_disk=True)
         t0 = time.perf_counter()
         run(kernel, config, mode=mode, scale=scale,
-            use_disk_cache=False, fast=fast, backend=backend)
+            use_disk_cache=False, backend=backend)
         dt = time.perf_counter() - t0
         if best is None or dt < best:
             best = dt
@@ -463,8 +463,8 @@ def speed_report(scale="small", smoke=False, sections=None):
         try:
             for pattern, (kernel, config, mode,
                           kscale) in pattern_points.items():
-                fast = _cold(kernel, config, mode, kscale, True)
-                slow = _cold(kernel, config, mode, kscale, False)
+                fast = _cold(kernel, config, mode, kscale, "auto")
+                slow = _cold(kernel, config, mode, kscale, "interp")
                 warm = _warm(kernel, config, mode, kscale)
                 report["patterns"][pattern] = {
                     "kernel": kernel, "config": config, "mode": mode,
@@ -475,8 +475,8 @@ def speed_report(scale="small", smoke=False, sections=None):
                     "speedup": round(slow / fast, 2)}
 
             for kernel, (config, mode, kscale) in long_points.items():
-                fast = _cold(kernel, config, mode, kscale, True)
-                slow = _cold(kernel, config, mode, kscale, False)
+                fast = _cold(kernel, config, mode, kscale, "auto")
+                slow = _cold(kernel, config, mode, kscale, "interp")
                 report["long_kernels"][kernel] = {
                     "config": config, "mode": mode, "scale": kscale,
                     "cold_fast_seconds": round(fast, 4),

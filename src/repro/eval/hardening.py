@@ -12,8 +12,8 @@ provide:
 * a failure is attributable to exactly one point.
 
 Failures are retried with exponential backoff up to a bounded attempt
-count; the final attempt runs with the simulator fast path disabled
-(the most likely software cause of a crash is the fast path itself).
+count; the final attempt runs on the ``interp`` backend rung (the most
+likely software cause of a crash is a compiled rung itself).
 A point that exhausts its attempts is *quarantined*: the sweep
 completes without it and the summary carries a structured
 :class:`PointFailure` record instead of the whole run aborting.
@@ -71,7 +71,6 @@ class HardeningPolicy:
     retries: int = 3          # max attempts per point
     backoff: float = 0.25     # base backoff (doubles per attempt)
     checkpoint: str = ""      # checkpoint file path, "" = disabled
-    degrade_fast: bool = True  # final attempt disables the fast path
 
 
 @dataclass
@@ -197,13 +196,14 @@ class SweepCheckpoint:
 # ---------------------------------------------------------------------------
 
 
-def _child_main(conn, point, attempt, fast):
-    """Worker entry: run one point, ship the outcome up the pipe."""
+def _child_main(conn, point, attempt, backend):
+    """Worker entry: run one point on *backend* (None = the process
+    default), ship the outcome up the pipe."""
     try:
         _apply_chaos(point.label(), attempt)
         t0 = time.perf_counter()
         before = runner.simulations
-        result = runner.run(point.kernel, point.config, fast=fast,
+        result = runner.run(point.kernel, point.config, backend=backend,
                             **point.run_kwargs())
         wall = time.perf_counter() - t0
         conn.send(("ok", result, wall, runner.simulations > before,
@@ -227,12 +227,11 @@ def _mp_context():
 
 
 class _Task:
-    __slots__ = ("point", "attempt", "fast", "proc", "conn", "kill_at")
+    __slots__ = ("point", "attempt", "proc", "conn", "kill_at")
 
-    def __init__(self, point, attempt, fast, proc, conn, kill_at):
+    def __init__(self, point, attempt, proc, conn, kill_at):
         self.point = point
         self.attempt = attempt
-        self.fast = fast
         self.proc = proc
         self.conn = conn
         self.kill_at = kill_at
@@ -316,13 +315,12 @@ def execute_points(points, jobs, policy, summary):
     summary.incidents.extend(runner.drain_incidents())
 
 
-def _attempt_fast(policy, attempt):
-    """The fast-path setting for this attempt number: the final retry
-    drops to the interpreted slow path."""
-    if policy.degrade_fast and policy.retries > 1 \
-            and attempt == policy.retries - 1:
-        return False
-    return None   # defer to runner.default_fast()
+def _attempt_backend(policy, attempt):
+    """The backend for this attempt number: the final retry drops to
+    the ``interp`` reference rung; earlier ones use the default."""
+    if policy.retries > 1 and attempt == policy.retries - 1:
+        return "interp"
+    return None
 
 
 def _run_serial(points, policy, summary, ckpt):
@@ -340,7 +338,7 @@ def _run_serial(points, policy, summary, ckpt):
                 with deadline(policy.timeout):
                     result = runner.run(
                         pt.kernel, pt.config,
-                        fast=_attempt_fast(policy, attempt),
+                        backend=_attempt_backend(policy, attempt),
                         **pt.run_kwargs())
                 wall = time.perf_counter() - t0
             except (KeyboardInterrupt, SystemExit):
@@ -424,7 +422,7 @@ def _run_parallel(points, jobs, policy, summary, ckpt):
                     proc = ctx.Process(
                         target=_child_main,
                         args=(child_conn, pt, attempt,
-                              _attempt_fast(policy, attempt)))
+                              _attempt_backend(policy, attempt)))
                     proc.start()
                 except OSError as exc:
                     for conn in (parent_conn, child_conn):
@@ -449,9 +447,8 @@ def _run_parallel(points, jobs, policy, summary, ckpt):
                 child_conn.close()
                 kill_at = (time.monotonic() + policy.timeout
                            if policy.timeout else 0.0)
-                running.append(_Task(pt, attempt,
-                                     _attempt_fast(policy, attempt),
-                                     proc, parent_conn, kill_at))
+                running.append(_Task(pt, attempt, proc, parent_conn,
+                                     kill_at))
                 spawned = True
                 break
 

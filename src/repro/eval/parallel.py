@@ -175,8 +175,8 @@ class SweepExecutor:
         parallel mode a worker over budget is killed; in serial mode
         the SIGALRM watchdog interrupts the simulation.
     retries
-        Maximum attempts per point (the last one with the simulator
-        fast path disabled).
+        Maximum attempts per point (the last one on the ``interp``
+        backend rung).
     backoff
         Base retry backoff in seconds; doubles per failed attempt.
     checkpoint

@@ -83,7 +83,7 @@ class Incident:
     """A degradation the runtime absorbed instead of failing.
 
     Recorded (never silently swallowed) whenever :func:`run` falls
-    back from the fast path to the interpreted slow path, or the sweep
+    back from a compiled backend rung to ``interp``, or the sweep
     executor degrades from parallel to serial execution."""
 
     kind: str       # "fast-path-fallback", "parallel-to-serial", ...
@@ -108,36 +108,9 @@ def drain_incidents():
     del _INCIDENTS[:]
     return out
 
-#: process-wide default for :func:`run`'s *fast* parameter.  ``None``
-#: means "not decided yet": the first resolution consults
-#: ``$REPRO_NO_FAST`` so sweep worker processes inherit the CLI's
-#: ``--no-fast`` without explicit plumbing.
-_DEFAULT_FAST: Optional[bool] = None
-
-
-def default_fast():
-    """The *fast* value :func:`run` uses when none is passed."""
-    global _DEFAULT_FAST
-    if _DEFAULT_FAST is None:
-        _DEFAULT_FAST = not os.environ.get("REPRO_NO_FAST")
-    return _DEFAULT_FAST
-
-
-def set_default_fast(value):
-    """Override the process-wide fast-path default (CLI ``--no-fast``).
-    Also mirrors the choice into ``$REPRO_NO_FAST`` so worker
-    processes spawned later agree."""
-    global _DEFAULT_FAST
-    _DEFAULT_FAST = bool(value)
-    if value:
-        os.environ.pop("REPRO_NO_FAST", None)
-    else:
-        os.environ["REPRO_NO_FAST"] = "1"
-
 #: process-wide default backend name for :func:`run`.  ``None`` means
 #: "not decided yet": the first resolution consults ``$REPRO_BACKEND``
-#: (and the legacy ``$REPRO_NO_FAST``, which forces ``interp``) so
-#: sweep worker processes inherit the CLI's ``--backend`` choice.
+#: so sweep worker processes inherit the CLI's ``--backend`` choice.
 _DEFAULT_BACKEND: Optional[str] = None
 
 
@@ -145,9 +118,7 @@ def default_backend():
     """The backend name :func:`run` uses when none is passed."""
     global _DEFAULT_BACKEND
     if _DEFAULT_BACKEND is None:
-        name = os.environ.get("REPRO_BACKEND")
-        if not name:
-            name = "interp" if os.environ.get("REPRO_NO_FAST") else "auto"
+        name = os.environ.get("REPRO_BACKEND") or "auto"
         if name not in BACKEND_CHOICES:
             raise ValueError("$REPRO_BACKEND=%r: choose from %s"
                              % (name, "/".join(BACKEND_CHOICES)))
@@ -179,25 +150,34 @@ def _resolve_config(config_name):
     return config(config_name)
 
 
-def _fingerprint(spec, sysconfig, mode, binary, xi_enabled, scale,
-                 seed, schedule_cirs, backend_name="auto", approx=0.0):
-    """Content hash of everything the simulation result depends on.
+def memo_key(kernel_name, config_name, mode="traditional",
+             binary="xloops", xi_enabled=True, scale="small", seed=0,
+             schedule_cirs=False):
+    """The in-process memo key of one point -- the argument tuple of
+    :func:`run` that decides its result.  Every backend rung is exact,
+    so the rung is not part of it."""
+    return (kernel_name, config_name, mode, binary, xi_enabled, scale,
+            seed, schedule_cirs)
 
-    The resolved backend name and approx tolerance are part of the
-    key: exact-mode backends are bit-identical, but an ``--approx``
-    run is allowed to drift, so it must never be served to (or be
-    served from) an exact request."""
+
+def _fingerprint(key):
+    """Disk-cache key of memo key *key*: a content hash of everything
+    the result depends on.  The kernel name is hashed alongside the
+    sources because kernels may share a source and differ only in
+    their workload (``ksack-sm-om`` / ``ksack-lg-om``)."""
+    kernel_name, config_name, mode, binary, *params = key
+    spec = get_kernel(kernel_name)
     sources = (spec.source,
                spec.serial_source if binary == "serial" else None)
     return diskcache.cache_key(
-        __version__, sources, repr(sysconfig), mode, binary,
-        xi_enabled, scale, seed, schedule_cirs, backend_name, approx)
+        __version__, kernel_name, sources,
+        repr(_resolve_config(config_name)), mode, binary, *params)
 
 
 def run(kernel_name, config_name, mode="traditional", binary="xloops",
         xi_enabled=True, scale="small", seed=0, check=True,
         schedule_cirs=False, use_disk_cache=True, verify=False,
-        fast=None, max_cycles=None, backend=None, approx=0.0):
+        max_cycles=None, backend=None):
     """Simulate one (kernel, platform, mode) point.
 
     Results are memoized in-process and persisted to the disk cache;
@@ -206,13 +186,10 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
 
     *backend* selects a rung of the simulation ladder
     (:mod:`repro.sim.backends`): ``interp``/``fused``/``turbo``/
-    ``auto``; ``None`` defers to :func:`default_backend`.  The legacy
-    *fast* boolean is honoured when *backend* is None and *fast* is
-    not (``fast=False`` means interp).  Exact-mode backends are
-    bit-identical — ``repro verify --ladder`` enforces it — but the
-    cache keys still record the resolved backend and the *approx*
-    tolerance, so an ``--approx`` result can never serve an exact
-    request (nor vice versa).
+    ``vector``/``auto``; ``None`` defers to :func:`default_backend`.
+    The rungs are bit-identical -- ``repro verify --ladder`` enforces
+    it -- so the cache keys leave the rung out: a result simulated on
+    one rung serves a request for any other.
 
     *check* runs the workload's architectural result check after the
     simulation.  *verify* additionally runs every specialized xloop
@@ -224,14 +201,9 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
     verified runs are never cache-served and never pollute the cache.
     """
     global simulations
-    if backend is None and fast is None:
-        backend = default_backend()
-    resolved = resolve_backend(backend, fast)
-    if approx and not resolved.turbo:
-        raise ValueError("approx=%r requires the turbo backend, not %r"
-                         % (approx, resolved.name))
-    key = (kernel_name, config_name, mode, binary, xi_enabled, scale,
-           seed, schedule_cirs, resolved.name, approx)
+    resolved = resolve_backend(backend or default_backend())
+    key = memo_key(kernel_name, config_name, mode, binary, xi_enabled,
+                   scale, seed, schedule_cirs)
     if not verify:
         hit = _RESULTS.get(key)
         if hit is not None:
@@ -242,9 +214,7 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
     use_disk = use_disk_cache and not verify and diskcache.enabled()
     ckey = None
     if use_disk:
-        ckey = _fingerprint(spec, sysconfig, mode, binary, xi_enabled,
-                            scale, seed, schedule_cirs, resolved.name,
-                            approx)
+        ckey = _fingerprint(key)
         cached = diskcache.load(ckey)
         if cached is not None:
             _RESULTS[key] = cached
@@ -261,8 +231,6 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
         args = workload.apply(mem)
         sim = SystemSimulator(compiled.program, sysconfig, mem=mem,
                               verify=verify, backend=backend_now,
-                              approx=approx if backend_now == resolved.name
-                              else 0.0,
                               max_cycles=max_cycles)
         simulations += 1
         result = sim.run(entry=spec.entry, args=args, mode=mode)
@@ -315,30 +283,19 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
 
 def cached_result(kernel_name, config_name, mode="traditional",
                   binary="xloops", xi_enabled=True, scale="small",
-                  seed=0, schedule_cirs=False, backend=None, fast=None,
-                  approx=0.0):
+                  seed=0, schedule_cirs=False):
     """The memo- or disk-cached result for this point, or None --
     never simulates.  A disk hit is installed in the in-process memo
     (and, inside :mod:`repro.eval.diskcache`, the decoded-record hot
     tier), so repeated probes are dictionary lookups.  This is the
     sweep server's cache probe: it answers "can this point be served
     right now?" without ever paying for a simulation."""
-    if backend is None and fast is None:
-        backend = default_backend()
-    resolved = resolve_backend(backend, fast)
-    key = (kernel_name, config_name, mode, binary, xi_enabled, scale,
-           seed, schedule_cirs, resolved.name, approx)
+    key = memo_key(kernel_name, config_name, mode, binary, xi_enabled,
+                   scale, seed, schedule_cirs)
     hit = _RESULTS.get(key)
-    if hit is not None:
+    if hit is not None or not diskcache.enabled():
         return hit
-    if not diskcache.enabled():
-        return None
-    spec = get_kernel(kernel_name)
-    sysconfig = _resolve_config(config_name)
-    ckey = _fingerprint(spec, sysconfig, mode, binary, xi_enabled,
-                        scale, seed, schedule_cirs, resolved.name,
-                        approx)
-    cached = diskcache.load(ckey)
+    cached = diskcache.load(_fingerprint(key))
     if cached is not None:
         _RESULTS[key] = cached
     return cached
@@ -353,8 +310,7 @@ def seed_result(key, result):
 
 def store_result(kernel_name, config_name, result, mode="traditional",
                  binary="xloops", xi_enabled=True, scale="small",
-                 seed=0, schedule_cirs=False, backend=None, fast=None,
-                 approx=0.0):
+                 seed=0, schedule_cirs=False):
     """Install *result* for this point in both the in-process memo and
     the disk cache -- the write-side twin of :func:`cached_result`.
 
@@ -364,31 +320,11 @@ def store_result(kernel_name, config_name, result, mode="traditional",
     on that (a worker may run cache-disabled or on another filesystem),
     so completion makes the result durable server-side before it is
     credited."""
-    if backend is None and fast is None:
-        backend = default_backend()
-    resolved = resolve_backend(backend, fast)
-    key = (kernel_name, config_name, mode, binary, xi_enabled, scale,
-           seed, schedule_cirs, resolved.name, approx)
+    key = memo_key(kernel_name, config_name, mode, binary, xi_enabled,
+                   scale, seed, schedule_cirs)
     _RESULTS[key] = result
-    if not diskcache.enabled():
-        return
-    spec = get_kernel(kernel_name)
-    sysconfig = _resolve_config(config_name)
-    ckey = _fingerprint(spec, sysconfig, mode, binary, xi_enabled,
-                        scale, seed, schedule_cirs, resolved.name,
-                        approx)
-    diskcache.store(ckey, result)
-
-
-def memo_key(kernel_name, config_name, mode="traditional",
-             binary="xloops", xi_enabled=True, scale="small", seed=0,
-             schedule_cirs=False, backend=None, fast=None, approx=0.0):
-    """The in-process memo key :func:`run` uses for these arguments."""
-    if backend is None and fast is None:
-        backend = default_backend()
-    resolved = resolve_backend(backend, fast)
-    return (kernel_name, config_name, mode, binary, xi_enabled, scale,
-            seed, schedule_cirs, resolved.name, approx)
+    if diskcache.enabled():
+        diskcache.store(_fingerprint(key), result)
 
 
 def baseline_run(kernel_name, config_name, scale="small", seed=0):

@@ -28,7 +28,7 @@ Three flavours are generated, sharing the block layout:
 Every generated function is an exact behavioural replica of the
 step-at-a-time path: same architectural updates in the same order, same
 cache/predictor access sequence, same stall and energy accounting.
-``repro verify --fast-slow`` and the tier-1 suite enforce this
+``repro verify --ladder`` and the tier-1 suite enforce this
 bit-for-bit.  Instructions the generator does not recognize are simply
 left out of any block; the drivers fall back to single-stepping them
 through the decoded-handler path, so unknown ops degrade gracefully

@@ -1,6 +1,6 @@
 """Turbo backend: compiled steady-state schedule replay.
 
-The fast path's third tier (see :mod:`repro.sim.backends`).  The base
+The backend ladder's third rung (see :mod:`repro.sim.backends`).  The base
 :class:`~repro.uarch.schedmemo.ScheduleMemo` replays recorded epoch
 segments through an interpreted action loop; profiling shows that loop
 is only ~2x faster than plain stepping because every action still pays
@@ -38,13 +38,6 @@ outcome is periodic in ``iteration mod line_bytes``, so TurboMemo keys
 segments by ``(base signature, (start_idx + next_k) & (line_bytes-1))``
 and the steady state closes into a proper segment cycle whose recorded
 miss outcomes match.
-
-Approx mode (``--approx`` > 0, DSE only): the generated code skips LRU
-maintenance and hit/miss validation, charging the recorded hit/miss
-counts instead.  Architectural values and branch validation stay exact;
-only timing may drift when the miss pattern shifts.  Approx memos are
-cached under a separate content key so approx results can never serve
-exact requests.
 
 TurboMemo instances persist process-wide keyed by loop content (body,
 MIV table, configs, cache geometry), like the fusion engine's factory
@@ -95,11 +88,10 @@ class _SegGen:
     back-to-back repetitions of the segment starting at *cyc0*.
     """
 
-    def __init__(self, lpsu, sig, seg, approx=0.0):
+    def __init__(self, lpsu, sig, seg):
         self.L = lpsu
         self.sig = sig
         self.seg = seg
-        self.approx = approx > 0.0
 
     # -- small helpers --------------------------------------------------
 
@@ -335,55 +327,54 @@ class _SegGen:
                         self._emit_store(body, I4, op.mnemonic, ins.rs1)
                     rec_lat = miss_lat if miss else hit_lat
                     act_lat = hit_lat if miss else miss_lat
-                    if not self.approx:
-                        size = (_LOAD_SIZE[op.mnemonic][0] if is_load
-                                else _STORE_SIZE[op.mnemonic])
-                        # when the tag shift equals the page shift the
-                        # tag IS the page number already held in the
-                        # page-cache local (sizes 1/4 went through
-                        # _emit_page just above)
-                        if lshift + setbits == 12 and size in (1, 4):
-                            tag = "_pn%d" % ins.rs1
-                        else:
-                            tag = "_t"
-                            E(I4 + "_t = _a >> %d" % (lshift + setbits))
-                        E(I4 + "_y = csets[(_a >> %d) & %d]"
-                          % (lshift, nsets - 1))
-                        over = {"act": True, "ko": ko[x], "pc": si + 1,
-                                "ra": dc + 1, "attd": attd[x] + 1,
-                                "busy": 1, "dca": 1, "grant": 1,
-                                "dcm": 0 if miss else 1,
-                                "ch": 1 if miss else 0,
-                                "cm": 0 if miss else 1}
-                        if not miss:   # recorded hit; divergence = miss
-                            E(I4 + "try:")
-                            E(I5 + "_y.remove(%s)" % tag)
-                            E(I5 + "_y.insert(0, %s)" % tag)
-                            E(I4 + "except _VE:")
-                            E(I5 + "_y.insert(0, %s)" % tag)
-                            E(I5 + "if len(_y) > %d:" % nways)
-                            E(I5 + " _y.pop()")
-                            self._fixups(body, I5)
-                            if rd:
-                                E(I5 + "D%d[%d] = _b + %d"
-                                  % (x, rd, dc + act_lat))
-                            s = self._site(x, over)
-                            E(I5 + "_site = %d" % s)
-                            E(I5 + "raise _X")
-                        else:          # recorded miss; divergence = hit
-                            E(I4 + "if %s in _y:" % tag)
-                            E(I5 + "_y.remove(%s)" % tag)
-                            E(I5 + "_y.insert(0, %s)" % tag)
-                            self._fixups(body, I5)
-                            if rd:
-                                E(I5 + "D%d[%d] = _b + %d"
-                                  % (x, rd, dc + act_lat))
-                            s = self._site(x, over)
-                            E(I5 + "_site = %d" % s)
-                            E(I5 + "raise _X")
-                            E(I4 + "_y.insert(0, %s)" % tag)
-                            E(I4 + "if len(_y) > %d:" % nways)
-                            E(I5 + "_y.pop()")
+                    size = (_LOAD_SIZE[op.mnemonic][0] if is_load
+                            else _STORE_SIZE[op.mnemonic])
+                    # when the tag shift equals the page shift the
+                    # tag IS the page number already held in the
+                    # page-cache local (sizes 1/4 went through
+                    # _emit_page just above)
+                    if lshift + setbits == 12 and size in (1, 4):
+                        tag = "_pn%d" % ins.rs1
+                    else:
+                        tag = "_t"
+                        E(I4 + "_t = _a >> %d" % (lshift + setbits))
+                    E(I4 + "_y = csets[(_a >> %d) & %d]"
+                      % (lshift, nsets - 1))
+                    over = {"act": True, "ko": ko[x], "pc": si + 1,
+                            "ra": dc + 1, "attd": attd[x] + 1,
+                            "busy": 1, "dca": 1, "grant": 1,
+                            "dcm": 0 if miss else 1,
+                            "ch": 1 if miss else 0,
+                            "cm": 0 if miss else 1}
+                    if not miss:   # recorded hit; divergence = miss
+                        E(I4 + "try:")
+                        E(I5 + "_y.remove(%s)" % tag)
+                        E(I5 + "_y.insert(0, %s)" % tag)
+                        E(I4 + "except _VE:")
+                        E(I5 + "_y.insert(0, %s)" % tag)
+                        E(I5 + "if len(_y) > %d:" % nways)
+                        E(I5 + " _y.pop()")
+                        self._fixups(body, I5)
+                        if rd:
+                            E(I5 + "D%d[%d] = _b + %d"
+                              % (x, rd, dc + act_lat))
+                        s = self._site(x, over)
+                        E(I5 + "_site = %d" % s)
+                        E(I5 + "raise _X")
+                    else:          # recorded miss; divergence = hit
+                        E(I4 + "if %s in _y:" % tag)
+                        E(I5 + "_y.remove(%s)" % tag)
+                        E(I5 + "_y.insert(0, %s)" % tag)
+                        self._fixups(body, I5)
+                        if rd:
+                            E(I5 + "D%d[%d] = _b + %d"
+                              % (x, rd, dc + act_lat))
+                        s = self._site(x, over)
+                        E(I5 + "_site = %d" % s)
+                        E(I5 + "raise _X")
+                        E(I4 + "_y.insert(0, %s)" % tag)
+                        E(I4 + "if len(_y) > %d:" % nways)
+                        E(I5 + "_y.pop()")
                     if rd:
                         dmap[(x, rd)] = dc + rec_lat
                     self.grants += 1
@@ -782,7 +773,7 @@ class TurboMemo(ScheduleMemo):
     signature space is up to ``line_bytes`` times larger.
     """
 
-    __slots__ = ("approx", "phase_mask", "_make", "_comp")
+    __slots__ = ("phase_mask", "_make", "_comp")
 
     dead_misses = 192
     max_segments = 512
@@ -792,9 +783,8 @@ class TurboMemo(ScheduleMemo):
     #: real cycle is at most ``line_bytes`` segments (phase period)
     _MAX_CHAIN = 64
 
-    def __init__(self, line_bytes, approx=0.0):
+    def __init__(self, line_bytes):
         ScheduleMemo.__init__(self)
-        self.approx = float(approx)
         self.phase_mask = line_bytes - 1
         # (start_sig, composite?) -> (make factory or None, segment
         # identity); factories are retained per signature so
@@ -863,7 +853,7 @@ class TurboMemo(ScheduleMemo):
             return ent[0]
         made = self._make.get(key)
         if made is None or made[1] is not seg:
-            made = (_SegGen(lpsu, sig, seg, self.approx).build(), seg)
+            made = (_SegGen(lpsu, sig, seg).build(), seg)
             self._make[key] = made
         mk = made[0]
         fn = mk(lpsu) if mk is not None else None
@@ -897,20 +887,18 @@ _TURBO_MEMOS = {}
 _MAX_MEMOS = 64
 
 
-def memo_content_key(descriptor, lpsu_cfg, gpp_cfg, approx=0.0):
+def memo_content_key(descriptor, lpsu_cfg, gpp_cfg):
     """Everything the compiled segments' source depends on.  Extends
     the fusion engine's content key with the MIV table and index
     register (iteration-setup constants are baked into compiled begin
-    actions) and the full cache geometry (LRU maintenance is inlined).
-    The approx flag separates approx memos from exact ones so approx
-    replay can never serve an exact run."""
+    actions) and the full cache geometry (LRU maintenance is inlined)."""
     d = descriptor
     mivt = tuple(sorted((m.reg, m.increment) for m in d.mivt.values()))
     return (_lpsu_content_key(d, lpsu_cfg, gpp_cfg), mivt, d.idx_reg,
-            repr(gpp_cfg.cache), approx > 0.0)
+            repr(gpp_cfg.cache))
 
 
-def turbo_memo(descriptor, lpsu_cfg, gpp_cfg, approx=0.0):
+def turbo_memo(descriptor, lpsu_cfg, gpp_cfg):
     """Shared :class:`TurboMemo` for a loop's content key.
 
     Memos persist process-wide (like the fusion factory caches):
@@ -918,13 +906,12 @@ def turbo_memo(descriptor, lpsu_cfg, gpp_cfg, approx=0.0):
     later invocation or simulator with an equal content key starts in
     steady state immediately instead of re-recording.
     """
-    key = memo_content_key(descriptor, lpsu_cfg, gpp_cfg, approx)
+    key = memo_content_key(descriptor, lpsu_cfg, gpp_cfg)
     memo = _TURBO_MEMOS.get(key)
     if memo is None:
         if len(_TURBO_MEMOS) >= _MAX_MEMOS:
             _TURBO_MEMOS.clear()
-        memo = _TURBO_MEMOS[key] = TurboMemo(
-            gpp_cfg.cache.line_bytes, approx)
+        memo = _TURBO_MEMOS[key] = TurboMemo(gpp_cfg.cache.line_bytes)
     return memo
 
 

@@ -39,7 +39,7 @@ and final memory are bit-identical to ``interp``; ``repro verify
 --ladder`` enforces it.
 
 Any refusal -- statically ineligible body, excessive divergence (mean
-active-mask fraction under ``REPRO_VECTOR_MIN_UTIL``), a conversion
+active-mask fraction under :data:`MIN_UTIL`), a conversion
 the scalar semantics would fault on -- rolls the undo log back and
 falls through to the turbo/fused path, marking the loop vector-dead so
 later invocations skip the attempt.
@@ -47,7 +47,6 @@ later invocations skip the attempt.
 
 from __future__ import annotations
 
-import os
 import sys
 
 try:
@@ -66,15 +65,14 @@ _LOAD_SIZE = {"lw": (4, True), "lh": (2, True), "lhu": (2, False),
 _STORE_SIZE = {"sw": 4, "sh": 2, "sb": 1}
 
 #: iterations per phase-1 block
-BLOCK = int(os.environ.get("REPRO_VECTOR_BLOCK", "256") or 256)
+BLOCK = 256
 #: refuse a block whose mean active-mask fraction falls below this
-MIN_UTIL = float(os.environ.get("REPRO_VECTOR_MIN_UTIL", "0.0625")
-                 or 0.0625)
+MIN_UTIL = 0.0625
 #: skip invocations with fewer iterations than this -- block setup and
 #: schedule reconstruction cannot amortize on short trips, where the
 #: fused/turbo stepper is already fast (per-invocation, not per-loop:
 #: the same static loop batches again when called with a long trip)
-MIN_TRIP = int(os.environ.get("REPRO_VECTOR_MIN_TRIP", "64") or 64)
+MIN_TRIP = 64
 
 # issue classes (phase 2)
 _ALU, _MEM, _LLFU, _BR, _JMP = 0, 1, 2, 3, 4

@@ -33,7 +33,7 @@ fast-forward:
   observation).  Everything else takes the slow path unchanged.
 
 The cycle/energy/stat deltas therefore come out bit-identical to the
-slow path; ``repro verify --fast-slow`` enforces this empirically over
+slow path; ``repro verify --ladder`` enforces this empirically over
 the kernel suite and generated loops.
 """
 

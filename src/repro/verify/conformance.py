@@ -23,7 +23,6 @@ not hide the rest of the sweep.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -191,23 +190,14 @@ def check_counterexample(source, entry, params, proof, sweep=LPSU_SWEEP):
 
 
 # ----------------------------------------------------------------------
-# fast-vs-slow differential mode
+# backend-ladder differential mode
 # ----------------------------------------------------------------------
 
-def _run_snapshot(program, entry, args, mem, lpsu, mode, fast,
-                  no_engine=False, backend=None):
+def _run_snapshot(program, entry, args, mem, lpsu, mode, backend):
     cfg = (SystemConfig("conf-x", _GPP, lpsu) if lpsu is not None
            else SystemConfig("conf-io", _GPP))
-    if no_engine:
-        # exercise the interpreted-stepper + schedule-memo fast path
-        # with the compiled fused-lane engine disabled
-        os.environ["REPRO_NO_LPSU_ENGINE"] = "1"
-    try:
-        r = simulate(program, cfg, entry=entry, args=args, mem=mem,
-                     mode=mode, fast=fast, backend=backend)
-    finally:
-        if no_engine:
-            os.environ.pop("REPRO_NO_LPSU_ENGINE", None)
+    r = simulate(program, cfg, entry=entry, args=args, mem=mem,
+                 mode=mode, backend=backend)
     ev = r.events
     return {
         "cycles": r.cycles,
@@ -223,57 +213,11 @@ def _run_snapshot(program, entry, args, mem, lpsu, mode, fast,
     }
 
 
-def _diff_detail(a, b, blabel="slow"):
+def _diff_detail(a, b, blabel):
     for k in a:
         if a[k] != b[k]:
-            return "%s: fast=%r %s=%r" % (k, a[k], blabel, b[k])
+            return "%s: interp=%r %s=%r" % (k, a[k], blabel, b[k])
     return "snapshots differ"
-
-
-def check_fast_slow(name, program, entry, make_args, sweep=LPSU_SWEEP,
-                    adaptive=True):
-    """Demand the fast path (superblock fusion + schedule memoization)
-    is *bit-identical* to the slow path for one loop: cycles, instr
-    counts, energy-event counts, LPSU stats, adaptive decisions,
-    return value, cache totals, and the final memory image must all
-    match, for traditional execution and every specialized/adaptive
-    LPSU design point.  Never raises."""
-    res = ConformanceResult(name=name)
-    try:
-        points = [("traditional", None)]
-        points += _specialized_points(sweep, adaptive)
-        for mode, lpsu in points:
-            # LPSU points get a third variant: fast with the compiled
-            # fused-lane engine disabled, pinning the interpreted
-            # stepper + schedule-memo layer to the same contract
-            variants = [("fast", True, False), ("slow", False, False)]
-            if lpsu is not None:
-                variants.append(("fast-noengine", True, True))
-            snaps = []
-            mems = []
-            for _label, fast, no_engine in variants:
-                mem = Memory()
-                args = make_args(mem)
-                snaps.append(_run_snapshot(program, entry, args, mem,
-                                           lpsu, mode, fast,
-                                           no_engine=no_engine))
-                mems.append(mem)
-            res.configs += 1
-            for v in range(1, len(variants)):
-                label = variants[v][0]
-                if snaps[0] != snaps[v]:
-                    return res.fail("%s/%r fast!=%s: %s"
-                                    % (mode, lpsu, label,
-                                       _diff_detail(snaps[0], snaps[v],
-                                                    label)))
-                if not mems[0].pages_equal(mems[v]):
-                    return res.fail(
-                        "%s/%r fast memory differs from %s at 0x%x"
-                        % (mode, lpsu, label,
-                           mems[0].first_difference(mems[v])))
-    except Exception as exc:
-        return res.fail("%s: %s" % (type(exc).__name__, exc))
-    return res
 
 
 def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
@@ -303,8 +247,7 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
                 mem = Memory()
                 args = make_args(mem)
                 snaps.append(_run_snapshot(program, entry, args, mem,
-                                           lpsu, mode, fast=None,
-                                           backend=tier))
+                                           lpsu, mode, tier))
                 mems.append(mem)
             res.configs += 1
             # pairwise against the interp reference: the named tier is
@@ -353,38 +296,6 @@ def run_ladder(kernels=None, gen=0, seed=0, scale="tiny",
         xl = compile_source(case.source)
         res = check_ladder(case.name, xl.program, case.entry,
                            case.apply, sweep=sweep, adaptive=False)
-        res.kinds = xl.loop_kinds()
-        results.append(res)
-        if progress is not None:
-            progress(res)
-    return results
-
-
-def run_fast_slow(kernels=None, gen=0, seed=0, scale="tiny",
-                  sweep=LPSU_SWEEP, progress=None):
-    """Fast-vs-slow differential sweep over kernels (all registered
-    when *kernels* is None) plus *gen* generated loops; returns a list
-    of :class:`ConformanceResult`."""
-    names = ([s.name for s in ALL_KERNELS] if kernels is None
-             else list(kernels))
-    results = []
-    for name in names:
-        spec = get_kernel(name)
-        xl = compile_source(spec.source)
-
-        def make_args(mem, _spec=spec):
-            return _spec.workload(scale, seed).apply(mem)
-
-        res = check_fast_slow(name, xl.program, spec.entry, make_args,
-                              sweep=sweep)
-        res.kinds = xl.loop_kinds()
-        results.append(res)
-        if progress is not None:
-            progress(res)
-    for case in random_cases(seed, gen):
-        xl = compile_source(case.source)
-        res = check_fast_slow(case.name, xl.program, case.entry,
-                              case.apply, sweep=sweep, adaptive=False)
         res.kinds = xl.loop_kinds()
         results.append(res)
         if progress is not None:

@@ -224,29 +224,50 @@ class TestHotTier:
         assert diskcache.load(keys[0]) is None
 
 
-class TestDefaultFast:
-    def test_env_var_disables(self, monkeypatch):
-        from repro.eval import runner
-        monkeypatch.setattr(runner, "_DEFAULT_FAST", None)
-        monkeypatch.setenv("REPRO_NO_FAST", "1")
-        assert runner.default_fast() is False
-        monkeypatch.setattr(runner, "_DEFAULT_FAST", None)
-        monkeypatch.delenv("REPRO_NO_FAST")
-        assert runner.default_fast() is True
+class TestResultKeys:
+    """The runner's memo key and disk fingerprint name the point and
+    nothing else: not the backend rung that simulated it (every rung
+    is exact), but always the kernel (kernels may share a source)."""
 
-    def test_set_default_fast_mirrors_env(self, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def _cold_runner(self, tmp_path):
         from repro.eval import runner
-        saved = runner._DEFAULT_FAST
-        monkeypatch.setenv("REPRO_NO_FAST", "keep")  # restored on exit
-        try:
-            runner.set_default_fast(False)
-            assert os.environ.get("REPRO_NO_FAST") == "1"
-            assert runner.default_fast() is False
-            runner.set_default_fast(True)
-            assert "REPRO_NO_FAST" not in os.environ
-            assert runner.default_fast() is True
-        finally:
-            runner._DEFAULT_FAST = saved
+        diskcache.configure(cache_dir=str(tmp_path))
+        runner.clear_cache(keep_disk=True)
+        yield
+        runner.clear_cache(keep_disk=True)
+
+    def test_kernels_sharing_a_source_get_their_own_records(self):
+        # ksack-sm-om and ksack-lg-om compile the same MiniC source and
+        # differ only in their workload's item weights
+        from repro.eval import runner
+        from repro.kernels import get_kernel
+        assert get_kernel("ksack-sm-om").source \
+            == get_kernel("ksack-lg-om").source
+        point = dict(mode="specialized", scale="small")
+        runner.run("ksack-sm-om", "io+x", **point)
+        runner.clear_cache(keep_disk=True)
+        before = runner.simulations
+        served = runner.run("ksack-lg-om", "io+x", **point)
+        assert runner.simulations == before + 1   # not served
+        runner.clear_cache(keep_disk=True)
+        fresh = runner.run("ksack-lg-om", "io+x", use_disk_cache=False,
+                           **point)
+        assert served.kernel == "ksack-lg-om"
+        assert served.cycles == fresh.cycles
+
+    def test_record_from_one_rung_serves_another(self):
+        from repro.eval import runner
+        from repro.sim.vector import HAS_NUMPY
+        point = dict(mode="specialized", scale="tiny")
+        fused = runner.run("vvadd-uc", "io+x", backend="fused", **point)
+        runner.clear_cache(keep_disk=True)   # memo gone, disk kept
+        before = runner.simulations
+        top = runner.run("vvadd-uc", "io+x",
+                         backend="vector" if HAS_NUMPY else "turbo",
+                         **point)
+        assert runner.simulations == before
+        assert top.cycles == fused.cycles
 
 
 class TestCacheCLI:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint, sweep
-from repro.kernels import get_kernel
 
 SCALE = "tiny"
 
@@ -196,8 +195,8 @@ class TestCheckpoint:
 
 class TestRunnerDegradation:
     def test_fast_path_exception_falls_back_to_slow(self, monkeypatch):
-        """An unexpected fast-path crash retries on the interpreted
-        slow path and records an incident instead of failing."""
+        """An unexpected crash on a compiled rung retries on ``interp``
+        and records an incident instead of failing."""
         import repro.uarch.system as system
 
         def boom(*args, **kwargs):
@@ -205,13 +204,14 @@ class TestRunnerDegradation:
 
         ref = dataclasses.asdict(
             runner.run("sgemm-uc", "io+x", mode="specialized",
-                       scale=SCALE, use_disk_cache=False, fast=False))
+                       scale=SCALE, use_disk_cache=False,
+                       backend="interp"))
         runner.clear_cache(keep_disk=True)
         runner.drain_incidents()
 
         monkeypatch.setattr(system, "fused_blocks", boom)
         r = runner.run("sgemm-uc", "io+x", mode="specialized",
-                       scale=SCALE, use_disk_cache=False, fast=True)
+                       scale=SCALE, use_disk_cache=False, backend="fused")
         incidents = runner.drain_incidents()
         assert len(incidents) == 1
         assert incidents[0].kind == "fast-path-fallback"
@@ -229,7 +229,7 @@ class TestRunnerDegradation:
         monkeypatch.setattr(system.SystemSimulator, "run", raising_run)
         with pytest.raises(InvariantViolation):
             runner.run("sgemm-uc", "io+x", mode="specialized",
-                       scale=SCALE, use_disk_cache=False, fast=True)
+                       scale=SCALE, use_disk_cache=False, backend="fused")
 
 
 class TestDiskCacheIntegrity:
@@ -237,11 +237,8 @@ class TestDiskCacheIntegrity:
         point = dict(kernel_name="sgemm-uc", config_name="io",
                      mode="traditional", scale=SCALE)
         runner.run(**point)
-        from repro.sim.backends import resolve_backend
-        key = runner._fingerprint(
-            get_kernel("sgemm-uc"), runner._resolve_config("io"),
-            "traditional", "xloops", True, SCALE, 0, False,
-            resolve_backend(runner.default_backend()).name)
+        key = runner._fingerprint(runner.memo_key(
+            "sgemm-uc", "io", mode="traditional", scale=SCALE))
         path = diskcache._record_path(key)
         blob = open(path, "rb").read()
         with open(path, "wb") as f:

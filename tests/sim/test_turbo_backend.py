@@ -10,8 +10,7 @@ gracefully and stay bit-identical to the reference interpreter.
 
 The cache-key tests pin the other half of the contract: ``verify=True``
 always runs on the interp tier and is never served from (or stored
-to) the result caches, and an ``--approx`` run can never satisfy an
-exact request.
+to) the result caches, and every exact rung shares one result key.
 """
 
 import pytest
@@ -139,51 +138,43 @@ class TestBackendSelection:
         assert sim.backend == "interp"
         assert not sim.fast
 
-    def test_no_turbo_hatch_demotes_auto_to_fused(self, monkeypatch):
-        from repro.sim.vector import HAS_NUMPY
-        monkeypatch.delenv("REPRO_NO_TURBO", raising=False)
-        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-        top = "vector" if HAS_NUMPY else "turbo"
-        assert resolve_backend("auto").name == top
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
+    def test_auto_resolves_to_highest_rung(self, monkeypatch):
+        from repro.sim import backends as backends_mod
+        monkeypatch.setattr(backends_mod, "_have_numpy", lambda: True)
+        assert resolve_backend("auto").name == "vector"
+        assert resolve_backend(None).name == "vector"
+        monkeypatch.setattr(backends_mod, "_have_numpy", lambda: False)
         assert resolve_backend("auto").name == "turbo"
-        monkeypatch.setenv("REPRO_NO_TURBO", "1")
-        assert resolve_backend("auto").name == "fused"
-        # an explicit request is not demoted: the hatches only govern
-        # what "auto" means
-        assert resolve_backend("turbo").name == "turbo"
-
-    def test_approx_requires_turbo(self):
-        spec = get_kernel("sgemm-uc")
-        program = compile_source(spec.source).program
-        with pytest.raises(ValueError):
-            SystemSimulator(program, _config(), backend="fused",
-                            approx=0.1)
+        # an explicit request is taken as is
+        assert resolve_backend("fused").name == "fused"
 
 
 class TestCacheKeys:
-    def test_memo_key_distinguishes_backend_and_approx(self):
-        def key(**kw):
-            return runner.memo_key("vvadd-uc", "io+x",
-                                   mode="specialized", scale="tiny",
-                                   **kw)
-        keys = {key(backend="interp"), key(backend="fused"),
-                key(backend="turbo"), key(backend="turbo", approx=0.5),
-                key(backend="turbo", approx=0.25)}
-        assert len(keys) == 5
-
-    def test_fingerprint_distinguishes_backend_and_approx(self):
-        spec = get_kernel("vvadd-uc")
-        from repro.eval.configs import config
-        sysconfig = config("io+x")
-
-        def fp(backend_name, approx):
-            return runner._fingerprint(
-                spec, sysconfig, "specialized", "xloops", True,
-                "tiny", 0, False, backend_name, approx)
-        prints = {fp("interp", 0.0), fp("fused", 0.0),
-                  fp("turbo", 0.0), fp("turbo", 0.5)}
-        assert len(prints) == 4
+    def test_exact_rungs_share_one_key(self, monkeypatch):
+        # the default rung must not leak into either key: a record is
+        # found again whichever rung the process is set to
+        from repro.sim.vector import HAS_NUMPY
+        rungs = ("interp", "fused", "turbo") + (
+            ("vector",) if HAS_NUMPY else ())
+        keys, prints = set(), set()
+        for rung in rungs:
+            monkeypatch.setattr(runner, "_DEFAULT_BACKEND", rung)
+            key = runner.memo_key("vvadd-uc", "io+x",
+                                  mode="specialized", scale="tiny")
+            keys.add(key)
+            prints.add(runner._fingerprint(key))
+        assert len(keys) == len(prints) == 1
+        # ...and a result simulated on one rung is memo-served to all
+        runner.clear_cache(keep_disk=True)
+        common = dict(mode="specialized", scale="tiny",
+                      use_disk_cache=False)
+        first = runner.run("vvadd-uc", "io+x", backend=rungs[0], **common)
+        before = runner.simulations
+        for rung in rungs[1:]:
+            assert runner.run("vvadd-uc", "io+x", backend=rung,
+                              **common) is first
+        assert runner.simulations == before
+        runner.clear_cache(keep_disk=True)
 
     def test_verified_run_never_served_from_cache(self):
         runner.clear_cache(keep_disk=True)
