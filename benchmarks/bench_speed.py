@@ -25,25 +25,18 @@ Three sections, emitted as a stable-schema JSON report
     served entirely from the persistent result cache -- it is asserted
     to complete without invoking ``SystemSimulator``.
 
-``backends``
-    The backend ladder measured rung by rung on the long steady-state
-    streaming kernels: every point timed fully cold under ``interp``,
-    ``fused`` and ``turbo``, plus a warm turbo re-run (schedule memos
-    retained).  Unlike the sections above these time the simulation
-    alone -- workload generation, memory setup, and the golden verify
-    are identical across rungs and excluded, since the axis exists to
-    compare the rungs.  Turbo must stay at or above the fused floor
-    on every one of these points.
-
 ``branchy``
-    The opposite shape: branchy/aperiodic kernels whose iteration
-    schedules never repeat, so the turbo memo goes dead and only the
-    vector tier's whole-block batching has anything left to offer.
-    Every point is timed fully cold on all four rungs.  Where the
-    vector engine engages (``vector_engaged``) it must stay at or
-    above the fused floor; the remaining points (worklist/ua bodies,
-    data-dependent exits) document honest fallback -- vector runs
-    them exactly as turbo does.
+    Branchy/aperiodic kernels whose iteration schedules never repeat:
+    the vector tier's whole-block batching reconstructs them instead
+    of stepping them.  Every point is timed fully cold on all three
+    rungs.  Unlike the sections above these time the simulation alone
+    -- workload generation, memory setup, and the golden verify are
+    identical across rungs and excluded, since the axis exists to
+    compare the rungs.  Where the vector engine engages
+    (``vector_engaged``) it must stay at or above the fused floor; the
+    remaining points (worklist/ua bodies, data-dependent exits)
+    document honest fallback -- vector runs them exactly as fused
+    does.
 
 ``service``
     Serving throughput of the sweep server: a live server on a unix
@@ -79,8 +72,7 @@ Usage::
 
 ``--check`` re-measures and fails (exit 1) if any cold wall-time
 regressed more than 25% against the committed ``BENCH_speed.json``,
-if any specialized point's fast path falls below fast/slow parity,
-if turbo drops below the fused floor on a steady-state point, if
+if any specialized point's fast path falls below fast/slow parity, if
 the vector rung engages but falls below the fused floor on a branchy
 point, if the sweep server's warm pass falls below 95%
 cache-served, invokes the simulator at all, or loses more than 25%
@@ -88,7 +80,7 @@ of its baseline serving rate, or if the distributed pool stops
 scaling (4 workers below the floor over 1 worker, multi-core hosts
 only) or lets a warm point reach the work queue or the simulator.
 
-``--sections patterns backends ...`` re-measures only the named
+``--sections patterns branchy ...`` re-measures only the named
 sections and merges them into the existing report, so a
 single-section change does not force the expensive full sweep.
 """
@@ -105,11 +97,11 @@ from repro.eval import runner
 from repro.eval.runner import clear_cache, run
 
 #: schema version of BENCH_speed.json; bump on layout changes
-SCHEMA = 6
+SCHEMA = 7
 
 #: every measurable report section, in emission order
-SECTIONS = ("patterns", "long_kernels", "table2", "backends",
-            "branchy", "service", "distributed")
+SECTIONS = ("patterns", "long_kernels", "table2", "branchy",
+            "service", "distributed")
 
 #: committed baseline location (repository root)
 REPORT_PATH = os.path.join(os.path.dirname(os.path.dirname(
@@ -137,21 +129,10 @@ LONG_POINTS = {
     "btree-ua": ("io+x", "specialized", "large"),
 }
 
-#: the long steady-state streaming kernels the turbo backend is asked
-#: to carry -- the per-backend ladder axis is measured on these.  All
-#: specialized io+x points: that is the only place turbo engages.
-BACKEND_POINTS = {
-    "vvadd-uc": ("io+x", "specialized", "large"),
-    "saxpy-uc": ("io+x", "specialized", "large"),
-    "vvdiv-uc": ("io+x", "specialized", "large"),
-    "divchain-uc": ("io+x", "specialized", "large"),
-    "cmult-uc": ("io+x", "specialized", "large"),
-}
-
-#: branchy/aperiodic kernels (dead turbo memos): the vector tier's
-#: whole-block batching engages on the long uc bodies; the ua /
-#: worklist / data-dependent-exit points document honest fallback.
-#: All specialized io+x points, like the backend-ladder axis.
+#: branchy/aperiodic kernels: the vector tier's whole-block batching
+#: engages on the long uc bodies; the ua / worklist /
+#: data-dependent-exit points document honest fallback.  All
+#: specialized io+x points.
 BRANCHY_POINTS = {
     "bmix-uc": ("io+x", "specialized", "large"),
     "qclip-uc": ("io+x", "specialized", "large"),
@@ -167,11 +148,7 @@ TOLERANCE = 0.25
 #: traditional GPP points plus one specialized (io+x) LPSU point
 SMOKE_KERNELS = ("rgb2cmyk-uc", "viterbi-uc", "adpcm-or")
 
-#: the backend-ladder point the smoke job re-measures (small scale so
-#: the interp rung stays cheap)
-SMOKE_BACKEND_KERNELS = ("vvadd-uc",)
-
-#: the branchy point the nightly vector smoke job re-measures (small
+#: the branchy point the nightly smoke job re-measures (small
 #: scale keeps interp cheap; the 4096-iteration trip still clears the
 #: vector tier's engagement floor)
 SMOKE_BRANCHY_KERNELS = ("qclip-uc",)
@@ -200,7 +177,7 @@ DISTRIBUTED_SCALING_FLOOR = 1.3
 
 def _cold(kernel, config, mode, scale, backend=None, repeats=3):
     """Best-of-*repeats* wall time of a fully cold point (compile +
-    simulate, no caches, no retained turbo memos)."""
+    simulate, no caches, no retained vector engines)."""
     best = None
     for _ in range(repeats):
         clear_cache(keep_disk=True)
@@ -213,58 +190,16 @@ def _cold(kernel, config, mode, scale, backend=None, repeats=3):
     return best
 
 
-def _backend_point(kernel, config, mode, scale, repeats=2):
-    """Simulation-only wall time of one point on every backend rung.
-
-    Returns ``(interp, fused, turbo_cold, turbo_warm)`` best-of-
-    *repeats* seconds.  Compile, workload generation, memory setup,
-    and the golden verify run outside the timed region: they are
-    byte-identical across rungs, and this axis exists to compare the
-    rungs, not the harness around them."""
-    from repro.eval.configs import config as named_config
-    from repro.kernels import get_kernel
-    from repro.lang import compile_source
-    from repro.sim import Memory, turbo as turbo_mod
-    from repro.uarch import simulate
-
-    spec = get_kernel(kernel)
-    program = compile_source(spec.source).program
-    sysconfig = named_config(config)
-
-    def one(backend, keep_memos=False):
-        best = None
-        for _ in range(repeats):
-            if not keep_memos:
-                turbo_mod.clear()
-            mem = Memory()
-            wl = spec.workload(scale, 0)
-            args = wl.apply(mem)
-            t0 = time.perf_counter()
-            simulate(program, sysconfig, entry=spec.entry, args=args,
-                     mem=mem, mode=mode, backend=backend)
-            dt = time.perf_counter() - t0
-            wl.check(mem)
-            if best is None or dt < best:
-                best = dt
-        return best
-
-    interp = one("interp")
-    fused = one("fused")
-    cold = one("turbo")               # memos populated by the last rep
-    warm = one("turbo", keep_memos=True)
-    return interp, fused, cold, warm
-
-
 def _branchy_point(kernel, config, mode, scale, repeats=2):
-    """Simulation-only wall time of one branchy point on all four
-    rungs, fully cold (turbo memos and vector engines dropped before
-    every rep).  Returns ``(interp, fused, turbo, vector, engaged)``
+    """Simulation-only wall time of one branchy point on all three
+    rungs, fully cold (vector engines dropped before every rep).
+    Returns ``(interp, fused, vector, engaged)``
     where *engaged* reports whether the vector engine actually batched
     iterations (the remaining points measure honest fallback)."""
     from repro.eval.configs import config as named_config
     from repro.kernels import get_kernel
     from repro.lang import compile_source
-    from repro.sim import Memory, turbo as turbo_mod, vector as vector_mod
+    from repro.sim import Memory, vector as vector_mod
     from repro.uarch import simulate
 
     spec = get_kernel(kernel)
@@ -276,7 +211,6 @@ def _branchy_point(kernel, config, mode, scale, repeats=2):
         nonlocal engaged
         best = None
         for _ in range(repeats):
-            turbo_mod.clear()
             vector_mod.clear()
             mem = Memory()
             wl = spec.workload(scale, 0)
@@ -296,9 +230,8 @@ def _branchy_point(kernel, config, mode, scale, repeats=2):
 
     interp = one("interp")
     fused = one("fused")
-    turbo = one("turbo")
     vector = one("vector")
-    return interp, fused, turbo, vector, engaged
+    return interp, fused, vector, engaged
 
 
 def _service_section(jobs=2):
@@ -435,16 +368,13 @@ def speed_report(scale="small", smoke=False, sections=None):
     want = (lambda name: True) if sections is None \
         else (lambda name: name in sections)
     report = {"schema": SCHEMA, "scale": scale, "patterns": {},
-              "long_kernels": {}, "table2": {}, "backends": {},
-              "branchy": {}, "service": {}, "distributed": {}}
+              "long_kernels": {}, "table2": {}, "branchy": {},
+              "service": {}, "distributed": {}}
     pattern_points = {} if smoke or not want("patterns") \
         else PATTERN_POINTS
     long_points = {k: v for k, v in LONG_POINTS.items()
                    if want("long_kernels")
                    and (not smoke or k in SMOKE_KERNELS)}
-    backend_points = {k: v for k, v in BACKEND_POINTS.items()
-                      if want("backends")
-                      and (not smoke or k in SMOKE_BACKEND_KERNELS)}
     branchy_points = {k: v for k, v in BRANCHY_POINTS.items()
                       if want("branchy")
                       and (not smoke or k in SMOKE_BRANCHY_KERNELS)}
@@ -483,34 +413,18 @@ def speed_report(scale="small", smoke=False, sections=None):
                     "cold_slow_seconds": round(slow, 4),
                     "speedup": round(slow / fast, 2)}
 
-            for kernel, (config, mode, kscale) in backend_points.items():
-                if smoke:
-                    kscale = "small"    # keep the interp rung cheap
-                interp, fused, turbo, warm = _backend_point(
-                    kernel, config, mode, kscale)
-                report["backends"][kernel] = {
-                    "config": config, "mode": mode, "scale": kscale,
-                    "interp_seconds": round(interp, 4),
-                    "fused_seconds": round(fused, 4),
-                    "turbo_cold_seconds": round(turbo, 4),
-                    "turbo_warm_seconds": round(warm, 4),
-                    "turbo_over_interp": round(interp / turbo, 2),
-                    "turbo_over_fused": round(fused / turbo, 2)}
-
             for kernel, (config, mode, kscale) in branchy_points.items():
                 if smoke:
                     kscale = "small"    # keep the interp rung cheap
-                interp, fused, turbo, vector, engaged = _branchy_point(
+                interp, fused, vector, engaged = _branchy_point(
                     kernel, config, mode, kscale)
                 report["branchy"][kernel] = {
                     "config": config, "mode": mode, "scale": kscale,
                     "interp_seconds": round(interp, 4),
                     "fused_seconds": round(fused, 4),
-                    "turbo_seconds": round(turbo, 4),
                     "vector_seconds": round(vector, 4),
                     "vector_engaged": engaged,
-                    "vector_over_fused": round(fused / vector, 2),
-                    "vector_over_turbo": round(turbo / vector, 2)}
+                    "vector_over_fused": round(fused / vector, 2)}
 
             measured_table2 = False
             if not smoke and want("table2"):
@@ -584,17 +498,6 @@ def _check(report, baseline):
                 problems.append(
                     "%s/%s: specialized fast path below fast/slow "
                     "parity (%.2fx)" % (section, key, entry["speedup"]))
-    for kernel, entry in report.get("backends", {}).items():
-        b = baseline.get("backends", {}).get(kernel)
-        if b is not None and entry["scale"] == b.get("scale"):
-            cmp("backends/%s" % kernel, entry["turbo_cold_seconds"],
-                b.get("turbo_cold_seconds"))
-        # the turbo floor: on steady-state streaming kernels turbo
-        # must never lose to the tier below it
-        if entry["turbo_over_fused"] < 1.0:
-            problems.append(
-                "backends/%s: turbo below the fused floor (%.2fx)"
-                % (kernel, entry["turbo_over_fused"]))
     for kernel, entry in report.get("branchy", {}).items():
         b = baseline.get("branchy", {}).get(kernel)
         if b is not None and entry["scale"] == b.get("scale"):
@@ -602,8 +505,7 @@ def _check(report, baseline):
                 b.get("vector_seconds"))
         # the vector floor: wherever whole-block batching engages it
         # must never lose to the fused tier (the non-engaging points
-        # fall back to the turbo path, whose memo thrash on aperiodic
-        # schedules is exactly what this section documents)
+        # run exactly as on fused)
         if entry["vector_engaged"] and entry["vector_over_fused"] < 1.0:
             problems.append(
                 "branchy/%s: vector below the fused floor (%.2fx)"
@@ -692,11 +594,9 @@ def main(argv=None):
                          "exit 1 on a >25%% cold regression")
     ap.add_argument("--smoke", action="store_true",
                     help="nightly CI mode: only the %s long-kernel "
-                         "points plus small-scale %s backend-ladder "
-                         "and %s branchy points, no patterns or "
-                         "table2 section"
-                         % (SMOKE_KERNELS, SMOKE_BACKEND_KERNELS,
-                            SMOKE_BRANCHY_KERNELS))
+                         "points plus the small-scale %s branchy "
+                         "points, no patterns or table2 section"
+                         % (SMOKE_KERNELS, SMOKE_BRANCHY_KERNELS))
     ap.add_argument("--sections", nargs="+", choices=SECTIONS,
                     metavar="SECTION",
                     help="re-measure only these sections (%s) and "

@@ -46,7 +46,7 @@ def _add_platform_args(p):
 def _add_backend_arg(p):
     p.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
                    help="simulation backend ladder rung: interp "
-                        "(reference), fused, turbo, vector (needs "
+                        "(reference), fused, vector (needs "
                         "numpy), or auto (highest available; the "
                         "default).  Results are bit-identical across "
                         "rungs")
@@ -304,7 +304,7 @@ def build_parser():
                         "loops (default 0)")
     p.add_argument("--ladder", action="store_true",
                    help="instead check the full backend ladder "
-                        "(interp/fused/turbo, plus vector when numpy "
+                        "(interp/fused, plus vector when numpy "
                         "is available) pairwise bit-identical per "
                         "point: cycles, events, stats, and final "
                         "memory; failures name the diverging tier")
@@ -1061,8 +1061,27 @@ _COMMANDS = {
 }
 
 
+def _kernel_name_error(args):
+    """One-line error for the first unregistered kernel name on the
+    command line, or None."""
+    from .kernels import get_kernel
+    names = list(getattr(args, "kernels", None) or ())
+    if args.command in ("kernel", "profile"):
+        names.append(args.name)
+    for name in names:
+        try:
+            get_kernel(name)
+        except KeyError as exc:
+            return "repro: %s" % exc.args[0]
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    error = _kernel_name_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     return _COMMANDS[args.command](args)
 
 

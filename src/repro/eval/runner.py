@@ -51,7 +51,7 @@ class KernelRun:
     adaptive_decisions: Dict[int, str]
     cache_miss_rate: float
     static_xloops: Tuple[str, ...]
-    #: backend-machinery counters (turbo memo hits/deaths, vector
+    #: backend-machinery counters (schedule memo hits/deaths, vector
     #: engine engagement); see SystemSimulator._backend_stats
     backend_stats: Dict[str, int] = field(default_factory=dict)
 
@@ -185,8 +185,8 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
     is a configuration name or a :class:`SystemConfig` instance.
 
     *backend* selects a rung of the simulation ladder
-    (:mod:`repro.sim.backends`): ``interp``/``fused``/``turbo``/
-    ``vector``/``auto``; ``None`` defers to :func:`default_backend`.
+    (:mod:`repro.sim.backends`): ``interp``/``fused``/``vector``/
+    ``auto``; ``None`` defers to :func:`default_backend`.
     The rungs are bit-identical -- ``repro verify --ladder`` enforces
     it -- so the cache keys leave the rung out: a result simulated on
     one rung serves a request for any other.
@@ -357,18 +357,13 @@ def energy_efficiency(kernel_name, config_name, mode, scale="small",
     return base.energy_nj / this.energy_nj
 
 
-def clear_cache(keep_disk=False, keep_memos=False):
-    """Forget all memoized results, compiled binaries, and the turbo/
-    vector backends' process-wide engine state.  Also wipes the
-    on-disk result cache unless *keep_disk* is true; *keep_memos*
-    preserves the turbo schedule memos and vector engines (used by
-    benches to time a warm re-run without the result cache
-    short-circuiting it)."""
-    from ..sim import turbo, vector
+def clear_cache(keep_disk=False):
+    """Forget all memoized results, compiled binaries, and the vector
+    backend's process-wide engines.  Also wipes the on-disk result
+    cache unless *keep_disk* is true."""
+    from ..sim import vector
     _RESULTS.clear()
     _compiled.cache_clear()
-    if not keep_memos:
-        turbo.clear()
-        vector.clear()
+    vector.clear()
     if not keep_disk:
         diskcache.clear()

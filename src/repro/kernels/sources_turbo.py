@@ -1,14 +1,12 @@
-"""Long steady-state streaming kernels (turbo-backend headliners).
+"""Long steady-state streaming kernels.
 
 These are not Table II kernels: they are deliberately long, branch-free
 ``xloop.uc`` streaming loops whose iteration schedules reach a steady
 state within a few epochs and then repeat for thousands of iterations.
-That is exactly the shape the turbo backend's compiled segment replay
-is built for, so these kernels anchor the per-backend speed benchmark
-(``benchmarks/bench_speed.py``) and the backend-ladder conformance
-sweep.  Their ``large`` scales intentionally exceed the L1 (unlike the
-Table II datasets) — a streaming kernel's steady state includes its
-periodic cache misses.
+They exercise the backend-ladder conformance sweep and the sweep
+service benches on the plainest streaming shape.  Their ``large``
+scales intentionally exceed the L1 (unlike the Table II datasets) — a
+streaming kernel's steady state includes its periodic cache misses.
 
 All float workloads use small dyadic operands (multiples of 0.25), so
 every product and sum is exactly representable in binary32 and the
@@ -224,5 +222,5 @@ CMULT = KernelSpec(
     source=CMULT_SRC, entry="cmult", make=_cmult_make,
     description="complex multiply over split re/im arrays")
 
-#: the turbo-backend benchmark kernels, steadiest first
+#: the streaming kernels, steadiest first
 TURBO_KERNELS = (VVADD, SAXPY, VVDIV, DIVCHAIN, CMULT)

@@ -1,5 +1,4 @@
-"""The simulation backend ladder: ``interp`` -> ``fused`` -> ``turbo``
--> ``vector``.
+"""The simulation backend ladder: ``interp`` -> ``fused`` -> ``vector``.
 
 Every tier simulates the same machine and must produce bit-identical
 results (cycles, energy events, final memory); they differ only in how
@@ -13,24 +12,17 @@ much per-cycle interpretation they elide:
     Superblock fusion (:mod:`repro.sim.fusion`): exec-compiled GPP
     basic blocks and the compiled fused-lane LPSU engine.  Same
     schedule, less dispatch.
-``turbo``
-    Everything in ``fused`` plus steady-state recurrence extraction
-    (:mod:`repro.sim.turbo`): recorded iteration-schedule segments are
-    exec-compiled into straight-line batch steppers and whole epochs
-    are replayed per call, validated live against branch directions
-    and cache hit/miss outcomes.
 ``vector``
-    Everything in ``turbo`` plus whole-block iteration batching
-    (:mod:`repro.sim.vector`): branchy/aperiodic ``xloop.uc`` bodies
-    -- exactly the loops whose schedule memo goes dead -- are executed
-    functionally as numpy array programs over blocks of iterations
-    (active-mask wavefront, gather/scatter subscripts), then the exact
-    cycle/energy schedule is reconstructed by an event-compressed
-    replay of the per-instruction meta table.  Needs the optional
-    ``repro[vector]`` extra (numpy).
+    Everything in ``fused`` plus whole-block iteration batching
+    (:mod:`repro.sim.vector`): every ``xloop.uc`` body the vector
+    engine accepts is executed functionally as a numpy array program
+    over blocks of iterations (active-mask wavefront, gather/scatter
+    subscripts), then the exact cycle/energy schedule is reconstructed
+    by an event-compressed replay of the per-instruction meta table.
+    Needs the optional ``repro[vector]`` extra (numpy).
 
 ``auto`` resolves to the highest applicable tier: ``vector`` when
-numpy is importable, else ``turbo``; explicitly requesting ``vector``
+numpy is importable, else ``fused``; explicitly requesting ``vector``
 without numpy installed is an error.  ``repro verify --ladder``
 enforces the bit-identity contract pairwise across all tiers.
 
@@ -46,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: names accepted anywhere a backend is selected
-BACKEND_CHOICES = ("auto", "interp", "fused", "turbo", "vector")
+BACKEND_CHOICES = ("auto", "interp", "fused", "vector")
 
 
 @dataclass(frozen=True)
@@ -55,24 +47,20 @@ class Backend:
 
     name: str
     fast: bool    # fused superblocks + LPSU engine enabled
-    turbo: bool   # steady-state segment compilation enabled
     vector: bool  # numpy whole-block iteration batching enabled
     description: str
 
 
 BACKENDS = {
     "interp": Backend(
-        "interp", False, False, False,
+        "interp", False, False,
         "per-instruction reference interpreter"),
     "fused": Backend(
-        "fused", True, False, False,
+        "fused", True, False,
         "superblock fusion + compiled LPSU lane engine"),
-    "turbo": Backend(
-        "turbo", True, True, False,
-        "fused + compiled steady-state schedule replay"),
     "vector": Backend(
-        "vector", True, True, True,
-        "turbo + numpy whole-block iteration batching"),
+        "vector", True, True,
+        "fused + numpy whole-block iteration batching"),
 }
 
 
@@ -86,14 +74,14 @@ def resolve_backend(name=None):
 
     *name* may be any of :data:`BACKEND_CHOICES`; None means ``auto``,
     which resolves to ``vector`` when numpy is importable, else
-    ``turbo``.
+    ``fused``.
     """
     if name is None or name == "auto":
-        name = "vector" if _have_numpy() else "turbo"
+        name = "vector" if _have_numpy() else "fused"
     elif name == "vector" and not _have_numpy():
         raise ValueError(
             "backend 'vector' requires numpy (install the repro[vector] "
-            "extra); 'auto' falls back to turbo without it")
+            "extra); 'auto' falls back to fused without it")
     b = BACKENDS.get(name)
     if b is None:
         raise ValueError("unknown backend %r (choose from %s)"

@@ -1,11 +1,10 @@
-"""Vector backend: numpy whole-block iteration batching for branchy
-``xloop.uc`` loops (the fourth rung of :mod:`repro.sim.backends`).
+"""Vector backend: numpy whole-block iteration batching for
+``xloop.uc`` loops (the top rung of :mod:`repro.sim.backends`).
 
-The turbo tier replays *recorded* steady-state schedule segments, so it
-only pays off when consecutive iterations repeat the same schedule.  On
-branchy/aperiodic loops the segment memo goes dead and those points
-fall back to the fused stepper.  This module batches exactly those
-loops instead: it never records a schedule, it *reconstructs* one.
+The fused tier still steps the LPSU cycle by cycle, one lane context
+at a time.  This module batches whole blocks of iterations instead:
+it never steps or records a schedule, it *reconstructs* one, so
+branchy/aperiodic bodies batch exactly as well as streaming ones.
 
 Execution is split into two decoupled phases per specialized
 invocation:
@@ -41,7 +40,7 @@ and final memory are bit-identical to ``interp``; ``repro verify
 Any refusal -- statically ineligible body, excessive divergence (mean
 active-mask fraction under :data:`MIN_UTIL`), a conversion
 the scalar semantics would fault on -- rolls the undo log back and
-falls through to the turbo/fused path, marking the loop vector-dead so
+falls through to the fused path, marking the loop vector-dead so
 later invocations skip the attempt.
 """
 
@@ -70,7 +69,7 @@ BLOCK = 256
 MIN_UTIL = 0.0625
 #: skip invocations with fewer iterations than this -- block setup and
 #: schedule reconstruction cannot amortize on short trips, where the
-#: fused/turbo stepper is already fast (per-invocation, not per-loop:
+#: fused stepper is already fast (per-invocation, not per-loop:
 #: the same static loop batches again when called with a long trip)
 MIN_TRIP = 64
 
@@ -315,9 +314,9 @@ def _rollback(mem, undo):
 class VectorEngine:
     """Compiled whole-block executor for one static xloop body.
 
-    Content-cached process-wide (like the turbo memos and the fused
-    LPSU engines); holds only static tables plus engagement counters,
-    so one engine serves every invocation of content-identical loops.
+    Content-cached process-wide (like the fused LPSU engines); holds
+    only static tables plus engagement counters, so one engine serves
+    every invocation of content-identical loops.
     """
 
     def __init__(self, descriptor, lpsu_cfg, gpp_cfg):
@@ -329,7 +328,6 @@ class VectorEngine:
         self.batched_iterations = 0
         self.refusals = 0
         self.usable = False
-        self.divergent = False
         self._analyze(descriptor, lpsu_cfg, gpp_cfg)
 
     # -- static analysis -------------------------------------------------
@@ -386,7 +384,6 @@ class VectorEngine:
         self._emitters = emit
         self._body_n = body_n
         self._build_walk_tables(d, cls, hazard)
-        self.divergent = any(c == _BR for c in cls)
         self.usable = True
 
     def _maybe_uninitialized_read(self, d, cls):
@@ -761,9 +758,9 @@ class VectorEngine:
         cfg = lpsu.cfg
         cache = lpsu.cache
         hit_lat = cache.config.hit_latency
-        # inline the L1 LRU model (same trick as the turbo walker):
-        # per-access method-call overhead dominates otherwise, and the
-        # streaming common case is an MRU hit that needs no reordering
+        # inline the L1 LRU model: per-access method-call overhead
+        # dominates otherwise, and the streaming common case is an
+        # MRU hit that needs no reordering
         miss_lat = hit_lat + cache.config.miss_latency
         line_shift = cache._line_shift
         set_mask = cache.num_sets - 1
@@ -1055,7 +1052,7 @@ def vector_content_key(descriptor, lpsu_cfg, gpp_cfg):
 def vector_engine(descriptor, lpsu_cfg, gpp_cfg):
     """Shared :class:`VectorEngine` for this loop, or None when the
     body is statically ineligible (the LPSU then runs exactly as on
-    the turbo tier)."""
+    the fused tier)."""
     if not HAS_NUMPY:
         return None
     key = vector_content_key(descriptor, lpsu_cfg, gpp_cfg)

@@ -38,7 +38,7 @@ from ..sim.functional import LivelockError, decode_instr, execute
 from ..sim.memory import MASK32, to_s32
 from .descriptor import LoopDescriptor
 from .params import LPSUConfig
-from .schedmemo import FAR_FUTURE as _FAR
+from .schedmemo import DEAD_ABORTS, MAX_ENTRIES, FAR_FUTURE as _FAR
 
 _LOAD_SIZE = {"lw": 4, "lh": 2, "lhu": 2, "lb": 1, "lbu": 1}
 _STORE_SIZE = {"sw": 4, "sh": 2, "sb": 1}
@@ -377,16 +377,13 @@ class LPSU:
 
         # -- specialized execution phase -----------------------------------
         cycle = 0
-        # whole-block batching (vector tier): engage only where turbo
-        # has nothing to offer -- divergent bodies (whose schedule memo
-        # dies) or loops running without a usable memo.  On success the
-        # engine consumed every iteration (bit-identical stats/events/
-        # memory), so the per-cycle loop below exits immediately with
-        # the reconstructed cycle count.
+        # whole-block batching (vector tier): on success the engine
+        # consumed every iteration (bit-identical stats/events/memory),
+        # so the per-cycle loop below exits immediately with the
+        # reconstructed cycle count.
         vec = self._vector
         if (vec is not None and self.fast and self._fuse
-                and ev is not None and max_cycles is None
-                and (vec.divergent or memo is None or memo.dead)):
+                and ev is not None and max_cycles is None):
             batched = vec.execute(self)
             if batched is not None:
                 cycle = batched
@@ -414,7 +411,7 @@ class LPSU:
                 break
             if memo is not None:
                 rec = self._rec
-                if rec is not None and len(rec) > memo.max_entries:
+                if rec is not None and len(rec) > MAX_ENTRIES:
                     # one epoch is too long to ever replay profitably;
                     # stop paying the recording tax for this loop
                     self._rec = None
@@ -1209,29 +1206,17 @@ class LPSU:
             seg = memo.table.get(sig)
             if seg is None or seg.n_begins > remaining:
                 break
-            took = 1
-            hit = memo.compiled(self, sig, seg)
-            if hit is not None:
-                # compiled batch replay (turbo backend): the memo may
-                # substitute a composite segment covering a whole
-                # phase cycle; one that re-keys its own start replays
-                # every remaining whole period in a single call
-                fn, seg = hit
-                if seg.end_sig == sig and seg.n_begins:
-                    took = remaining // seg.n_begins
-                done, cycle = fn(cycle, took)
-            else:
-                done, cycle = self._replay_segment(seg, cycle)
+            done, cycle = self._replay_segment(seg, cycle)
             if not done:
                 memo.aborts += 1
-                if (memo.aborts >= memo.dead_aborts
+                if (memo.aborts >= DEAD_ABORTS
                         and memo.hits < memo.aborts >> 2):
                     # replays keep diverging: live outcomes for this
                     # loop are too unstable for memoization to pay
                     memo.dead = True
                 return cycle, True
-            memo.hits += took
-            remaining -= seg.n_begins * took
+            memo.hits += 1
+            remaining -= seg.n_begins
             sig = seg.end_sig
             if not remaining:
                 break

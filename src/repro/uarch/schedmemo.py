@@ -45,12 +45,12 @@ FAR_FUTURE = 1 << 60
 #: give up recording for a loop whose signatures never repeat
 _DEAD_MISSES = 16
 #: give up when replays keep diverging instead of completing
-_DEAD_ABORTS = 64
+DEAD_ABORTS = 64
 #: keep at most this many segments per static xloop
 _MAX_SEGMENTS = 64
 #: refuse to memoize long epochs — a short-body loop's epoch is a few
 #: hundred actions; anything bigger never repays the recording tax
-_MAX_ENTRIES = 4096
+MAX_ENTRIES = 4096
 
 
 class Segment:
@@ -75,13 +75,6 @@ class ScheduleMemo:
     invocations of the same loop by the owning SystemSimulator."""
 
     __slots__ = ("table", "hits", "misses", "aborts", "body_ok", "dead")
-
-    # tuning knobs, read through the instance so subclasses (the turbo
-    # backend's TurboMemo) can raise them without touching this module
-    max_entries = _MAX_ENTRIES
-    max_segments = _MAX_SEGMENTS
-    dead_misses = _DEAD_MISSES
-    dead_aborts = _DEAD_ABORTS
 
     def __init__(self):
         self.table = {}
@@ -145,7 +138,7 @@ class ScheduleMemo:
         n_begins = lpsu._next_k - lpsu._rec_k0
         remaining = lpsu.bound - lpsu.start_idx - lpsu._next_k
         if (n_cycles > 0 and remaining >= 1
-                and len(entries) <= self.max_entries
+                and len(entries) <= MAX_ENTRIES
                 and start_sig not in self.table):
             groups = []
             cur_c = None
@@ -157,23 +150,12 @@ class ScheduleMemo:
                     groups.append((c - lpsu._rec_cycle0, cur))
                     cur_c = c
                 cur.append(e)
-            if len(self.table) >= self.max_segments:
+            if len(self.table) >= _MAX_SEGMENTS:
                 self.table.clear()
             self.table[start_sig] = Segment(
                 tuple((dc, tuple(ops)) for dc, ops in groups),
                 n_cycles, n_begins, end_sig)
             self.misses += 1
-            if self.misses >= self.dead_misses and self.hits == 0:
+            if self.misses >= _DEAD_MISSES and self.hits == 0:
                 self.dead = True
         return end_sig
-
-    # -- replay hooks ---------------------------------------------------
-
-    def compiled(self, lpsu, sig, seg):
-        """Compiled batch replay for *seg*: returns ``(fn, segment)``
-        — where *segment* may be a substitute covering several chained
-        recordings (a phase-cycle composite) — or None to use the
-        interpreted :meth:`~repro.uarch.lpsu.LPSU._replay_segment` on
-        *seg* itself.  The base memo never compiles; the turbo
-        backend's TurboMemo overrides this."""
-        return None

@@ -59,7 +59,7 @@ class RunResult:
     return_value: int = 0
     cache_misses: int = 0
     cache_accesses: int = 0
-    #: backend-machinery counters (turbo memo hits/deaths, vector
+    #: backend-machinery counters (schedule memo hits/deaths, vector
     #: engine engagement); diagnostic only -- never affects results
     backend_stats: Dict[str, int] = field(default_factory=dict)
 
@@ -88,8 +88,8 @@ class SystemSimulator:
         # point.  Injection needs per-step observation, so it forces
         # the slow path like verify does.
         self.injector = injector
-        # backend ladder (repro.sim.backends): interp / fused / turbo /
-        # vector (None = auto).  verify and injection need exact
+        # backend ladder (repro.sim.backends): interp / fused / vector
+        # (None = auto).  verify and injection need exact
         # per-step observation, so they force the interp tier
         # regardless of the requested backend.
         if verify or injector is not None:
@@ -99,7 +99,6 @@ class SystemSimulator:
         # every rung above interp: fused GPP superblocks, the compiled
         # LPSU lane engine and iteration-schedule memoization
         self.fast = resolved.fast
-        self._turbo = resolved.turbo
         self._vector = resolved.vector
         self.mem = mem if mem is not None else Memory()
         self.events = EnergyEvents()
@@ -121,7 +120,6 @@ class SystemSimulator:
         # per-xloop-pc iteration-schedule memo tables, shared across
         # specialized invocations of the same static loop
         self._memos = {}
-        self._memo_keys = {}   # turbo: content key guarding each memo
         self._vec_engines = {}  # vector: engines this run dispatched to
 
     # ------------------------------------------------------------------
@@ -178,10 +176,10 @@ class SystemSimulator:
     def _backend_stats(self):
         """Counters from the backend machinery this run dispatched to.
 
-        Memos and vector engines are content-keyed and shared
-        process-wide, so on a warm process the counts include earlier
-        runs that touched the same static loops -- they describe the
-        machinery, not just this invocation.
+        Vector engines are content-keyed and shared process-wide, so
+        on a warm process their counts include earlier runs that
+        touched the same static loops -- they describe the machinery,
+        not just this invocation.
         """
         bs = {}
         if self._memos:
@@ -355,34 +353,18 @@ class SystemSimulator:
             engine = lpsu_engine(self.program, desc, self.config.lpsu,
                                  self.config.gpp)
         memo = None
-        if self._turbo:
-            # turbo: compiled segment replay beats even the engine on
-            # steady-state loops, so the memo rides alongside it.  The
-            # memo is content-keyed and shared process-wide: MIV
-            # increments resolve per invocation, so the key is checked
-            # each time rather than trusting the xloop pc alone.
-            from ..sim import turbo as _turbo_mod
-            key = _turbo_mod.memo_content_key(
-                desc, self.config.lpsu, self.config.gpp)
-            memo = self._memos.get(desc.xloop_pc)
-            if memo is None or self._memo_keys.get(desc.xloop_pc) != key:
-                memo = _turbo_mod.turbo_memo(
-                    desc, self.config.lpsu, self.config.gpp)
-                self._memos[desc.xloop_pc] = memo
-                self._memo_keys[desc.xloop_pc] = key
-        elif self.fast and engine is None:
-            # fused tier: schedule memoization pays only on the
-            # interpreted stepper; with a compiled engine available,
-            # plain engine-stepped execution is faster than
-            # record + replay
+        if self.fast and engine is None:
+            # schedule memoization pays only on the interpreted
+            # stepper; with a compiled engine available, plain
+            # engine-stepped execution is faster than record + replay
             memo = self._memos.get(desc.xloop_pc)
             if memo is None:
                 memo = self._memos[desc.xloop_pc] = ScheduleMemo()
         vec = None
         if self._vector:
-            # vector: whole-block numpy batching for branchy uc loops
+            # vector: whole-block numpy batching for uc loops
             # (content-cached; None when the body is ineligible, in
-            # which case this invocation runs exactly as on turbo)
+            # which case this invocation runs exactly as on fused)
             from ..sim import vector as _vector_mod
             vec = _vector_mod.vector_engine(desc, self.config.lpsu,
                                             self.config.gpp)
@@ -449,8 +431,8 @@ def simulate(program, config, entry="main", args=(), mode="traditional",
     without perturbing cycles, energy, or statistics.
 
     ``backend`` selects a rung of the simulation ladder
-    (:mod:`repro.sim.backends`): ``interp``/``fused``/``turbo``/
-    ``vector``/``auto`` (None means auto; results are bit-identical
+    (:mod:`repro.sim.backends`): ``interp``/``fused``/``vector``/
+    ``auto`` (None means auto; results are bit-identical
     across rungs, and ``repro verify --ladder`` enforces it).
 
     ``max_cycles`` bounds the specialized-phase cycle budget (raising

@@ -222,18 +222,18 @@ def _diff_detail(a, b, blabel):
 
 def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
                  adaptive=True):
-    """Demand the full backend ladder (interp -> fused -> turbo ->
-    vector) is *bit-identical* for one loop: every snapshot field —
-    cycles, instr counts, energy-event counts, LPSU stats, adaptive
-    decisions, return value, cache totals — and the final memory image
+    """Demand the full backend ladder (interp -> fused -> vector) is
+    *bit-identical* for one loop: every snapshot field — cycles, instr
+    counts, energy-event counts, LPSU stats, adaptive decisions,
+    return value, cache totals — and the final memory image
     must agree pairwise across all tiers, for traditional execution and
     every specialized/adaptive LPSU design point.  The failure detail
     names the diverging tier.  The vector rung joins the ladder only
     when its optional numpy dependency is importable (without it,
-    ``auto`` cannot resolve to vector, so three rungs cover every
+    ``auto`` cannot resolve to vector, so two rungs cover every
     reachable configuration).  Never raises."""
     res = ConformanceResult(name=name)
-    tiers = ("interp", "fused", "turbo")
+    tiers = ("interp", "fused")
     from ..sim.vector import HAS_NUMPY
     if HAS_NUMPY:
         tiers += ("vector",)
@@ -264,8 +264,6 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
                         "%s/%r %s memory differs from interp at 0x%x"
                         % (mode, lpsu, label,
                            mems[0].first_difference(mems[v])))
-            # fused-vs-turbo closes the pairwise triangle (their
-            # snapshots already both equal interp's; memory too)
     except Exception as exc:
         return res.fail("%s: %s" % (type(exc).__name__, exc))
     return res

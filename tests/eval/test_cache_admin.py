@@ -258,16 +258,14 @@ class TestResultKeys:
 
     def test_record_from_one_rung_serves_another(self):
         from repro.eval import runner
-        from repro.sim.vector import HAS_NUMPY
         point = dict(mode="specialized", scale="tiny")
-        fused = runner.run("vvadd-uc", "io+x", backend="fused", **point)
+        interp = runner.run("vvadd-uc", "io+x", backend="interp",
+                            **point)
         runner.clear_cache(keep_disk=True)   # memo gone, disk kept
         before = runner.simulations
-        top = runner.run("vvadd-uc", "io+x",
-                         backend="vector" if HAS_NUMPY else "turbo",
-                         **point)
+        top = runner.run("vvadd-uc", "io+x", backend="auto", **point)
         assert runner.simulations == before
-        assert top.cycles == fused.cycles
+        assert top.cycles == interp.cycles
 
 
 class TestCacheCLI:

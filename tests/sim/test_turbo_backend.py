@@ -1,16 +1,15 @@
-"""Turbo-backend edge cases.
+"""Backend-ladder edge cases and selection contracts.
 
-The turbo tier batches steady-state iterations through compiled
-segment replay, so its riskiest inputs are the ones where the steady
-state is short, broken, or never reached: trip counts below the
-detection window, a data-dependent ``xloop.break`` firing after the
-schedule settled, adaptive-mode migrations, and branchy kernels whose
-schedule never repeats.  In every one of those turbo must degrade
-gracefully and stay bit-identical to the reference interpreter.
+The top rung (``auto``: vector with numpy, fused without) must stay
+bit-identical to the reference interpreter where its batching has the
+least to work with: trip counts too short to engage, a data-dependent
+``xloop.break`` late in a long stream, and adaptive-mode migrations.
 
-The cache-key tests pin the other half of the contract: ``verify=True``
-always runs on the interp tier and is never served from (or stored
-to) the result caches, and every exact rung shares one result key.
+The selection and cache-key tests pin the rest of the contract:
+``verify=True`` always runs on the interp tier and is never served
+from (or stored to) the result caches, every rung shares one result
+key, and a name outside ``BACKEND_CHOICES`` is rejected everywhere a
+rung is chosen.
 """
 
 import pytest
@@ -85,18 +84,18 @@ def _kernel_run(name, backend, mode="specialized", **kw):
 class TestShortAndBrokenSteadyState:
     @pytest.mark.parametrize("n", (1, 2, 5, 8, 16, 48))
     def test_trip_count_below_detection_window(self, n):
-        # too few iterations for the memo to anchor (or to anchor more
-        # than once): turbo must not replay garbage, just match interp
-        _identical(_stream_run("turbo", n), _stream_run("interp", n))
+        # trips shorter than the vector tier's engagement floor, down
+        # to a single iteration: the top rung must match interp
+        _identical(_stream_run("auto", n), _stream_run("interp", n))
 
     def test_xbreak_after_steady_state(self):
         # the needle sits at 3/4 of a long stream: the schedule
-        # reaches steady state, gets batch-replayed, and then the
-        # data-dependent exit fires mid-window
+        # reaches steady state on the fused engine, and then the
+        # data-dependent exit fires mid-stream
         program = compile_source(_FIND_SRC).program
         n, needle_at = 2048, 1536
         results = []
-        for backend in ("turbo", "interp"):
+        for backend in ("auto", "interp"):
             mem = Memory()
             xa = 0x100000
             data = [(5 * i + 2) & 0x3FFFFFFF for i in range(n)]
@@ -111,22 +110,15 @@ class TestShortAndBrokenSteadyState:
 
     def test_adaptive_mode_identical_across_backends(self):
         # adaptive dispatch migrates a loop between the GPP and the
-        # LPSU mid-run (changing the active lane count under the
-        # memo's feet); decisions and timing must not depend on the
-        # backend tier
-        turbo = _kernel_run("war-om", "turbo", mode="adaptive")
+        # LPSU mid-run after a bounded profiling phase; decisions and
+        # timing must not depend on the backend tier
         interp = _kernel_run("war-om", "interp", mode="adaptive")
-        assert dict(turbo[0].adaptive_decisions)
-        assert dict(turbo[0].adaptive_decisions) \
-            == dict(interp[0].adaptive_decisions)
-        _identical(turbo, interp)
-
-    def test_branchy_kernel_degrades_to_fused(self):
-        # rgb2cmyk's per-pixel max() branches make the iteration
-        # schedule aperiodic: the turbo memo goes dead and the run
-        # must still be bit-identical (effectively the fused tier)
-        _identical(_kernel_run("rgb2cmyk-uc", "turbo"),
-                   _kernel_run("rgb2cmyk-uc", "interp"))
+        assert dict(interp[0].adaptive_decisions)
+        for backend in ("fused", "auto"):
+            run = _kernel_run("war-om", backend, mode="adaptive")
+            assert dict(run[0].adaptive_decisions) \
+                == dict(interp[0].adaptive_decisions)
+            _identical(run, interp)
 
 
 class TestBackendSelection:
@@ -134,7 +126,7 @@ class TestBackendSelection:
         spec = get_kernel("sgemm-uc")
         program = compile_source(spec.source).program
         sim = SystemSimulator(program, _config(), verify=True,
-                              backend="turbo")
+                              backend="vector")
         assert sim.backend == "interp"
         assert not sim.fast
 
@@ -144,9 +136,31 @@ class TestBackendSelection:
         assert resolve_backend("auto").name == "vector"
         assert resolve_backend(None).name == "vector"
         monkeypatch.setattr(backends_mod, "_have_numpy", lambda: False)
-        assert resolve_backend("auto").name == "turbo"
+        assert resolve_backend("auto").name == "fused"
         # an explicit request is taken as is
-        assert resolve_backend("fused").name == "fused"
+        assert resolve_backend("interp").name == "interp"
+
+    def test_unknown_rung_rejected_everywhere(self, monkeypatch, capsys):
+        # a rung that no longer exists (turbo) is refused with the
+        # valid choices listed: as backend=, as --backend, and as
+        # $REPRO_BACKEND
+        from repro.cli import main
+        from repro.sim.backends import BACKEND_CHOICES
+        choices = "/".join(BACKEND_CHOICES)
+        assert BACKEND_CHOICES == ("auto", "interp", "fused", "vector")
+        with pytest.raises(ValueError, match=choices):
+            simulate(compile_source(_STREAM_SRC).program, _config(),
+                     entry="vvadd", args=(0, 0, 0, 0), backend="turbo")
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "vvadd-uc", "--backend", "turbo"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'turbo'" in err
+        assert all(repr(c) in err for c in BACKEND_CHOICES)
+        monkeypatch.setattr(runner, "_DEFAULT_BACKEND", None)
+        monkeypatch.setenv("REPRO_BACKEND", "turbo")
+        with pytest.raises(ValueError, match="REPRO_BACKEND.*" + choices):
+            runner.default_backend()
 
 
 class TestCacheKeys:
@@ -154,7 +168,7 @@ class TestCacheKeys:
         # the default rung must not leak into either key: a record is
         # found again whichever rung the process is set to
         from repro.sim.vector import HAS_NUMPY
-        rungs = ("interp", "fused", "turbo") + (
+        rungs = ("interp", "fused") + (
             ("vector",) if HAS_NUMPY else ())
         keys, prints = set(), set()
         for rung in rungs:

@@ -6,7 +6,7 @@ batch: branch divergence collapsing the active mask mid-block, a
 data-dependent ``xloop.break`` (statically ineligible -- the body
 must fall back), trip counts below the block size or below the
 engagement floor, and hosts without numpy (where ``auto`` must
-quietly top out at turbo).  In every case the run must stay
+quietly top out at fused).  In every case the run must stay
 bit-identical to the reference interpreter -- phase 1 is rolled back
 on refusal, so not even final memory may differ.
 """
@@ -115,7 +115,7 @@ class TestBatchBoundaries:
     def test_trip_below_engagement_floor(self):
         # below MIN_TRIP the per-iteration replay overhead beats the
         # batch win: the engine must decline (without dying) and the
-        # invocation runs on the turbo path underneath
+        # invocation runs on the fused path underneath
         n = vector_mod.MIN_TRIP
         vec = _run_src(_BRANCHY_SRC, "bmixy", "vector", n)
         assert vec[0].backend_stats.get("vector_iterations", 0) == 0
@@ -147,7 +147,7 @@ class TestDivergenceAndFallback:
     def test_xbreak_in_batch_falls_back(self):
         # a data-dependent exit can cut a batch short at any lane: the
         # body is statically ineligible for batching, and the vector
-        # rung must run it exactly as turbo/interp would
+        # rung must run it exactly as fused/interp would
         n = 512
         data = [(4 * i + 2) & 0x3FFFFFFF for i in range(n)]  # all even
         data[300] = 777
@@ -174,9 +174,9 @@ class TestDivergenceAndFallback:
 
 
 class TestBackendSelection:
-    def test_numpy_absent_demotes_auto_to_turbo(self, monkeypatch):
+    def test_numpy_absent_demotes_auto_to_fused(self, monkeypatch):
         monkeypatch.setattr(backends_mod, "_have_numpy", lambda: False)
-        assert resolve_backend("auto").name == "turbo"
+        assert resolve_backend("auto").name == "fused"
         # an explicit request must fail loudly, not degrade silently
         with pytest.raises(ValueError):
             resolve_backend("vector")

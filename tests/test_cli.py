@@ -143,12 +143,12 @@ def test_kernel_backend_flag(capsys):
     from repro.eval import runner
     try:
         assert main(["kernel", "vvadd-uc", "--scale", "tiny",
-                     "--backend", "turbo"]) == 0
-        turbo_out = capsys.readouterr().out
+                     "--backend", "fused"]) == 0
+        fused_out = capsys.readouterr().out
         runner.clear_cache()   # results are rung-independent
         assert main(["kernel", "vvadd-uc", "--scale", "tiny",
                      "--backend", "interp"]) == 0
-        assert capsys.readouterr().out == turbo_out
+        assert capsys.readouterr().out == fused_out
     finally:
         import os
         runner.set_default_backend("auto")
@@ -190,12 +190,35 @@ def test_profile_prints_hotspots(capsys):
 
 
 def test_profile_backend_flag(capsys):
-    rc = main(["profile", "vvadd-uc", "--scale", "tiny",
-               "--backend", "turbo", "--top", "3"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "backend=turbo" in out
-    assert "cycles:" in out
+    from repro.eval import runner
+    try:
+        rc = main(["profile", "vvadd-uc", "--scale", "tiny",
+                   "--backend", "fused", "--top", "3"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "backend=fused" in out
+        assert "cycles:" in out
+    finally:
+        import os
+        runner.set_default_backend("auto")
+        os.environ.pop("REPRO_BACKEND", None)
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["kernel", "nosuch"], "nosuch"),
+    (["profile", "nosuch"], "nosuch"),
+    (["table", "table2", "--kernels", "sgemm-uc,dither-or"],
+     "sgemm-uc,dither-or"),
+    (["verify", "sgemm-uc", "nosuch"], "nosuch"),
+])
+def test_unknown_kernel_is_one_line_exit_2(capsys, argv, bad):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro: unknown kernel %r (known: " % bad)
+    assert "sgemm-uc" in lines[0]
 
 
 def test_prove_named_kernels(capsys):
