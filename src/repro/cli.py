@@ -60,8 +60,9 @@ def _apply_backend_arg(args):
 
 def _add_cache_args(p):
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="fan simulation points across N worker "
-                        "processes (default: in-process)")
+                   help="run N simulation points at once, each in "
+                        "a forked worker process (default: "
+                        "in-process)")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="persistent result cache location "
                         "(default ~/.cache/repro or $REPRO_CACHE_DIR)")
@@ -159,9 +160,6 @@ def build_parser():
                    help="max attempts per point before it is "
                         "quarantined (default 3; the last attempt "
                         "runs on the interp backend)")
-    p.add_argument("--checkpoint", metavar="FILE",
-                   help="checkpoint completed points to FILE so an "
-                        "interrupted sweep resumes where it stopped")
     p.add_argument("--server", metavar="ADDR",
                    help="route the sweep through a running sweep "
                         "server instead of executing locally (unix "
@@ -604,8 +602,7 @@ def cmd_sweep(args):
     else:
         summary = parallel.sweep(points, jobs=args.jobs,
                                  timeout=args.timeout,
-                                 retries=args.retries,
-                                 checkpoint=args.checkpoint)
+                                 retries=args.retries)
     print(summary.render(per_point=not args.quiet))
     ok = summary.ok
     if args.expect_served is not None:
@@ -1079,6 +1076,17 @@ def _kernel_name_error(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     error = _kernel_name_error(args)
+    if error is None and (hasattr(args, "backend")
+                          or args.command == "serve"):
+        # a backend this host cannot run (an unknown $REPRO_BACKEND,
+        # vector without numpy) fails before anything simulates
+        from .eval import runner
+        from .sim.backends import resolve_backend
+        try:
+            resolve_backend(getattr(args, "backend", None)
+                            or runner.default_backend())
+        except ValueError as exc:
+            error = "repro: %s" % exc
     if error is not None:
         print(error, file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
-"""Parallel sweep executor: fan simulation points across a process
-pool, backed by the persistent result cache.
+"""Sweep executor: run batches of simulation points, backed by the
+persistent result cache.
 
 A *point* is one ``(kernel, config, mode, binary, xi, scale, seed)``
 simulation -- exactly the argument tuple of
@@ -7,18 +7,15 @@ simulation -- exactly the argument tuple of
 
 * deduplicates the submitted points,
 * serves what it can from the in-process memo and the disk cache,
-* fans the rest across ``--jobs`` worker processes (each worker runs
-  :func:`runner.run`, which writes its result to the shared disk
-  cache),
+* runs the rest in-process, or with ``--jobs N`` on N threads that
+  each fork one worker per point (:mod:`repro.eval.hardening`),
 * installs every result into the parent's memo, so the table/figure
   assembly code that follows hits the memo and never simulates,
 * reports per-point wall time and cache hit/miss counts.
 
-With ``jobs <= 1`` everything runs in-process (no pool), which is
-also the fallback when :mod:`multiprocessing` cannot provide a
-working context.  Results are bit-identical either way: each point is
-an independent deterministic simulation, and the executor only moves
-*where* it runs.
+Results are bit-identical either way: each point is an independent
+deterministic simulation, and the executor only moves *where* it
+runs.  Rerunning an interrupted sweep with the same cache resumes it.
 """
 
 from __future__ import annotations
@@ -85,8 +82,8 @@ class SweepSummary:
     quarantined :class:`PointFailure`\\ s (points whose every attempt
     failed -- the sweep completes without them instead of aborting),
     and :class:`~repro.eval.runner.Incident`\\ s (degradations the
-    runtime absorbed, like fast-path fallbacks or a parallel-to-serial
-    downgrade, flagged by :attr:`degraded`)."""
+    runtime absorbed, like fast-path fallbacks or an attempt run
+    in-process after a failed fork, flagged by :attr:`degraded`)."""
 
     outcomes: List[PointOutcome] = field(default_factory=list)
     wall_time: float = 0.0
@@ -94,7 +91,11 @@ class SweepSummary:
     failures: List = field(default_factory=list)   # PointFailure
     retries: List = field(default_factory=list)    # RetryEvent
     incidents: List = field(default_factory=list)  # runner.Incident
-    degraded: bool = False     # parallel execution fell back to serial
+
+    @property
+    def degraded(self):
+        """Some attempt ran in-process after a failed fork."""
+        return any(i.kind == "parallel-to-serial" for i in self.incidents)
 
     @property
     def points(self):
@@ -133,8 +134,8 @@ class SweepSummary:
                              % (fl.label, fl.attempts, fl.kind,
                                 fl.error))
         if self.degraded:
-            lines.append("DEGRADED: parallel execution fell back to "
-                         "serial")
+            lines.append("DEGRADED: some attempts ran in-process "
+                         "(no worker could be forked)")
         for inc in self.incidents:
             lines.append("incident [%s] %s: %s"
                          % (inc.kind, inc.context, inc.detail))
@@ -153,16 +154,18 @@ class SweepExecutor:
     """Executes batches of sweep points, optionally in parallel.
 
     Execution is delegated to the hardened engine in
-    :mod:`repro.eval.hardening`: each point runs in its own forked
-    worker under a wall-clock watchdog, crashes and hangs are isolated
-    and retried with exponential backoff, exhausted points are
-    quarantined instead of aborting the sweep, and worker-spawn
-    failure degrades to serial in-process execution.
+    :mod:`repro.eval.hardening`: with ``jobs > 1`` each point runs in
+    its own forked worker under a wall-clock watchdog, crashes and
+    hangs are isolated and retried with exponential backoff, exhausted
+    points are quarantined instead of aborting the sweep, and an
+    attempt whose worker cannot be forked runs in-process instead.  A
+    backend that cannot resolve raises :class:`ValueError` up front.
 
     Parameters
     ----------
     jobs
-        Worker process count; ``None`` or ``1`` runs in-process.
+        Points run at once, each attempt in its own forked worker;
+        ``None`` or ``1`` runs in-process.
     cache_dir
         Override the disk-cache directory (propagates to workers via
         ``REPRO_CACHE_DIR``).
@@ -179,20 +182,18 @@ class SweepExecutor:
         backend rung).
     backoff
         Base retry backoff in seconds; doubles per failed attempt.
-    checkpoint
-        Path of a checkpoint file for resumable sweeps (completed and
-        quarantined points are skipped on re-run).
     """
 
     def __init__(self, jobs=None, cache_dir=None, use_cache=True,
-                 timeout=0.0, retries=3, backoff=0.25, checkpoint=None):
+                 timeout=0.0, retries=3, backoff=0.25):
+        from ..sim.backends import resolve_backend
+        resolve_backend(runner.default_backend())
         self.jobs = max(1, int(jobs)) if jobs else 1
         from .hardening import HardeningPolicy
         self.policy = HardeningPolicy(
             timeout=float(timeout or 0.0),
             retries=max(1, int(retries)),
-            backoff=max(0.0, float(backoff)),
-            checkpoint=str(checkpoint) if checkpoint else "")
+            backoff=max(0.0, float(backoff)))
         from . import diskcache
         if cache_dir is not None:
             diskcache.configure(cache_dir=cache_dir)
@@ -224,7 +225,7 @@ class SweepExecutor:
 def sweep(points, jobs=None, cache_dir=None, use_cache=True, **policy):
     """One-shot convenience wrapper around :class:`SweepExecutor`;
     ``**policy`` forwards the hardening knobs (timeout, retries,
-    backoff, checkpoint)."""
+    backoff)."""
     return SweepExecutor(jobs=jobs, cache_dir=cache_dir,
                          use_cache=use_cache, **policy).run_points(points)
 

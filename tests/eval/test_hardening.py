@@ -1,6 +1,7 @@
 """Hardened sweep execution: crash/hang isolation, retry with
-backoff, quarantine, serial degradation, checkpoint/resume, and the
-runner's fast-to-slow degradation ladder.
+backoff, quarantine, in-process fallback, resume from the result
+store, fail-fast backend resolution, and the runner's fast-to-slow
+degradation ladder.
 
 Chaos (deterministic worker sabotage via ``$REPRO_CHAOS``) only acts
 inside forked worker children, so every recovery path here exercises
@@ -10,6 +11,10 @@ the real machinery: real dead processes, real kills, real retries.
 import dataclasses
 import json
 import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -61,6 +66,19 @@ def _reference():
         ref[pt.memo_key()] = dataclasses.asdict(r)
     runner.clear_cache(keep_disk=True)
     return ref
+
+
+class _BrokenCtx:
+    """A multiprocessing context that cannot start a process."""
+
+    @staticmethod
+    def Pipe(duplex=False):
+        import multiprocessing
+        return multiprocessing.Pipe(duplex)
+
+    @staticmethod
+    def Process(*args, **kwargs):
+        raise OSError("process table full")
 
 
 def _assert_matches(ref):
@@ -130,21 +148,10 @@ class TestSerialFallback:
         _assert_matches(ref)
 
     def test_broken_mp_context_degrades_to_serial(self, monkeypatch):
-        """If worker processes cannot be spawned at all, the sweep
-        degrades to serial in-process execution (recorded as an
-        incident) and still produces bit-identical results."""
+        """If worker processes cannot be spawned at all, every attempt
+        runs in-process instead (recorded as an incident) and the sweep
+        still produces bit-identical results."""
         ref = _reference()
-
-        class _BrokenCtx:
-            @staticmethod
-            def Pipe(duplex=False):
-                import multiprocessing
-                return multiprocessing.Pipe(duplex)
-
-            @staticmethod
-            def Process(*args, **kwargs):
-                raise OSError("process table full")
-
         monkeypatch.setattr(hardening, "_mp_context",
                             lambda: _BrokenCtx())
         summary = sweep(POINTS, jobs=4)
@@ -173,24 +180,77 @@ class TestSerialFallback:
         assert summary.retries[0].kind == "error"
 
 
-class TestCheckpoint:
-    def test_resume_skips_completed_points(self, tmp_path):
-        ckpt = str(tmp_path / "sweep.ckpt")
-        first = sweep(POINTS, jobs=2, checkpoint=ckpt)
-        assert first.ok and first.misses == len(POINTS)
+    def test_execute_one_falls_back_in_process_one_at_a_time(
+            self, monkeypatch):
+        """``execute_one`` with no forkable worker returns the
+        bit-identical result and a ``parallel-to-serial`` incident;
+        threads calling it concurrently never overlap their in-process
+        attempts (more threads than cores, short switch interval)."""
+        ref = _reference()
+        monkeypatch.setattr(hardening, "_mp_context",
+                            lambda: _BrokenCtx())
+        real_run = runner.run
+        guard = threading.Lock()
+        active = {"now": 0, "peak": 0}
 
-        # wipe all caches; only the checkpoint remembers
-        runner.clear_cache()
-        second = sweep(POINTS, jobs=2, checkpoint=ckpt)
+        def counting_run(*args, **kwargs):
+            with guard:
+                active["now"] += 1
+                active["peak"] = max(active["peak"], active["now"])
+            try:
+                time.sleep(0.05)     # widen any overlap window
+                return real_run(*args, **kwargs)
+            finally:
+                with guard:
+                    active["now"] -= 1
+
+        monkeypatch.setattr(runner, "run", counting_run)
+        policy = hardening.HardeningPolicy(retries=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(POINTS)) as pool:
+                outcomes = list(pool.map(
+                    lambda pt: hardening.execute_one(pt, policy), POINTS,
+                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert active["peak"] == 1
+        for pt, out in zip(POINTS, outcomes):
+            assert out.failure is None and out.simulated, pt.label()
+            assert dataclasses.asdict(out.result) == ref[pt.memo_key()]
+            assert [inc.kind for inc in out.incidents] == \
+                ["parallel-to-serial"]
+
+
+class TestResume:
+    def test_resume_skips_completed_points(self):
+        """An interrupted sweep resumes by being rerun with the same
+        cache: the points it finished are served from the store and
+        only the rest simulate."""
+        first = sweep(POINTS[:2], jobs=2)
+        assert first.ok and first.misses == 2
+
+        runner.clear_cache(keep_disk=True)   # as a fresh process sees it
+        second = sweep(POINTS, jobs=2)
         assert second.ok
         assert second.points == len(POINTS)
-        assert second.misses == 0   # everything resumed, nothing rerun
+        assert second.misses == 2   # only the unfinished half reran
 
-    def test_corrupt_checkpoint_is_ignored(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt"
-        ckpt.write_bytes(b"definitely not a pickle")
-        summary = sweep(POINTS[:1], jobs=1, checkpoint=str(ckpt))
-        assert summary.ok and summary.points == 1
+
+class TestBadBackend:
+    def test_unknown_backend_fails_before_any_point(self, monkeypatch):
+        """A backend that cannot resolve is a configuration error, not
+        a transient fault: the sweep raises before running a point."""
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        monkeypatch.setattr(runner, "_DEFAULT_BACKEND", None)
+        before = runner.simulations
+        with pytest.raises(ValueError, match="bogus"):
+            sweep(POINTS, jobs=2)
+        assert runner.simulations == before
+        assert all(runner.cached_result(pt.kernel, pt.config,
+                                        **pt.run_kwargs()) is None
+                   for pt in POINTS)
 
 
 class TestRunnerDegradation:

@@ -221,6 +221,40 @@ def test_unknown_kernel_is_one_line_exit_2(capsys, argv, bad):
     assert "sgemm-uc" in lines[0]
 
 
+def _assert_one_line_exit_2(capsys, argv, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro: ")
+    assert needle in lines[0]
+
+
+def test_unknown_backend_env_is_one_line_exit_2(capsys, monkeypatch):
+    from repro.eval import runner
+    monkeypatch.setenv("REPRO_BACKEND", "bogus")
+    monkeypatch.setattr(runner, "_DEFAULT_BACKEND", None)
+    before = runner.simulations
+    _assert_one_line_exit_2(capsys, ["kernel", "vvadd-uc"], "bogus")
+    _assert_one_line_exit_2(
+        capsys, ["sweep", "table2", "--scale", "tiny", "--kernels",
+                 "vvadd-uc", "--no-cache"], "bogus")
+    # the server takes no --backend but simulates every miss with it
+    _assert_one_line_exit_2(
+        capsys, ["serve", "--socket", "/nonexistent/repro.sock"], "bogus")
+    assert runner.simulations == before
+
+
+def test_vector_without_numpy_is_one_line_exit_2(capsys, monkeypatch):
+    from repro.eval import runner
+    from repro.sim import backends
+    monkeypatch.setattr(backends, "_have_numpy", lambda: False)
+    before = runner.simulations
+    _assert_one_line_exit_2(
+        capsys, ["kernel", "vvadd-uc", "--backend", "vector"], "numpy")
+    assert runner.simulations == before
+
+
 def test_prove_named_kernels(capsys):
     assert main(["prove", "vvadd-uc", "war-uc", "hsort-ua"]) == 0
     out = capsys.readouterr().out
